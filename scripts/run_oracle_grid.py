@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ordclass import terms as tm
 from ordclass.grammar import parse_ord, render_ord
-from ordclass.oracle import GridOps, build_grid, leq1_fixpoint
+from ordclass.oracle import ANCHOR_OPS, build_grid, leq1_fixpoint
 
 e = parse_ord
 
@@ -28,12 +28,11 @@ def main():
     parser.add_argument("--cap", type=int, default=400)
     ns = parser.parse_args()
 
-    ops = GridOps(tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2)
     t0 = time.perf_counter()
     grid = build_grid(
         e("eps(3)"),
         seeds=[e("eps(0)"), e("eps(1)"), e("eps(2)")],
-        ops=ops,
+        ops=ANCHOR_OPS,
         cap=ns.cap,
     )
     rel = leq1_fixpoint(grid, ns.subset_cap)

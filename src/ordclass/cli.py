@@ -23,12 +23,8 @@ from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_membership, G_sample
-from .oracle import Grid, GridOps, Leq1Relation, build_grid, leq1_cached
+from .oracle import ANCHOR_OPS, Grid, Leq1Relation, build_grid, leq1_cached
 from .skeleton import ORACLE, STRUCTURAL, T_set, canonical_point, eta_compute, g_map, l_compute
-
-CLI_GRID_OPS = GridOps(
-    tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2
-)
 
 
 @dataclass
@@ -145,7 +141,7 @@ def _cmd_grid(session, args):
     if name in session.grids:
         raise OrdinalError(f"grid {name!r} already exists; snapshots are immutable")
     seeds = [_term(session, a) for a in args[2:]]
-    grid = build_grid(bound, seeds, ops=CLI_GRID_OPS, cap=session.grid_cap)
+    grid = build_grid(bound, seeds, ops=ANCHOR_OPS, cap=session.grid_cap)
     rel = leq1_cached(grid, session.subset_cap, session.cache_dir)
     session.grids[name] = (grid, rel)
     text = f"grid {name}: {len(grid.points)} points, {rel.rounds} rounds"

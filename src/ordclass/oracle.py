@@ -24,15 +24,17 @@ module keeps a slow subset-enumerating checker for cross-validation.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import terms as tm
 from .errors import GridCapExceeded, OrdinalError
 from .grammar import parse_ord, render_ord
-from .terms import EQ, GT, LT
+from .terms import LT
 
 
 @dataclass(frozen=True)
@@ -60,31 +62,31 @@ class GridOps:
         return True
 
 
+# The closure preset of the CLI's `grid` command, the anchor tests and the
+# report script.
+ANCHOR_OPS = GridOps(tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2)
+
+
 @dataclass(frozen=True)
 class Grid:
     points: tuple[tm.OrdTerm, ...]
     bound: tm.OrdTerm
     ops: GridOps
+    # point -> its position in `points`; terms are normal forms, so equal
+    # ordinals are equal (and equally hashed) terms
+    ranks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranks", {p: i for i, p in enumerate(self.points)})
 
     def index(self, t: tm.OrdTerm) -> int:
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = tm.compare(self.points[mid], t)
-            if c is EQ:
-                return mid
-            if c is LT:
-                lo = mid + 1
-            else:
-                hi = mid
-        raise OrdinalError(f"{render_ord(t)} is not a grid point")
+        try:
+            return self.ranks[t]
+        except KeyError:
+            raise OrdinalError(f"{render_ord(t)} is not a grid point") from None
 
     def __contains__(self, t):
-        try:
-            self.index(t)
-            return True
-        except OrdinalError:
-            return False
+        return t in self.ranks
 
     def digest(self) -> str:
         payload = ";".join(render_ord(p) for p in self.points)
@@ -92,15 +94,25 @@ class Grid:
 
 
 def _sorted_terms(terms_it):
-    import functools
-
     return tuple(
         sorted(set(terms_it), key=functools.cmp_to_key(tm.compare))
     )
 
 
+def _bisect(points, t, right=False) -> int:
+    """Number of sorted points below t, or at or below t if right."""
+    key = functools.cmp_to_key(tm.compare)
+    find = bisect.bisect_right if right else bisect.bisect_left
+    return find(points, key(t), key=key)
+
+
 def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> Grid:
-    """Smallest closure of seeds + {0, 1, w} under ops, strictly below bound."""
+    """Smallest closure of seeds + {0, 1, w} under ops, strictly below bound.
+
+    The closure is semi-naive: a round applies the ops only to the points
+    the previous round found (the frontier), and adds only the sums with a
+    frontier summand, so each ordered pair of points is summed once in all.
+    """
     ops = ops or GridOps()
     points = {tm.ZERO, tm.one(), tm.omega()}
     points.update(seeds)
@@ -116,7 +128,8 @@ def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> G
         new = set()
 
         def offer(t):
-            if t not in points and t not in new and tm.lt(t, bound) and ops.admits(t):
+            # admits makes no compare, and it rejects about half the offers
+            if ops.admits(t) and t not in points and t not in new and tm.lt(t, bound):
                 new.add(t)
 
         for t in frontier:
@@ -128,10 +141,13 @@ def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> G
                 for j in range(1, ops.tower_height + 1):
                     offer(tm.omega_tower(t.leaf, j))
         if ops.add:
-            for a in points | frontier:
+            for a in points - frontier:
                 for b in frontier:
                     offer(tm.add(a, b))
                     offer(tm.add(b, a))
+            for a in frontier:
+                for b in frontier:
+                    offer(tm.add(a, b))
         if len(points) + len(new) > cap:
             points |= new
             overflow()
@@ -163,11 +179,8 @@ class Leq1Relation:
 
     def points_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
         """Grid points r with lo < r <= hi."""
-        return [
-            p
-            for p in self.grid.points
-            if tm.compare(p, lo) is GT and tm.compare(p, hi) is not GT
-        ]
+        pts = self.grid.points
+        return list(pts[_bisect(pts, lo, right=True) : _bisect(pts, hi, right=True)])
 
     def boundary_suspect(self, t: tm.OrdTerm) -> bool:
         """The frontier of t runs into the grid edge."""
@@ -181,10 +194,8 @@ class Leq1Relation:
         for i, p in enumerate(pts):
             if not tm.is_epsilon(p):
                 continue
-            double = tm.mul(p, tm.nat(2))
-            try:
-                d = self.grid.index(double)
-            except OrdinalError:
+            d = self.grid.ranks.get(tm.mul(p, tm.nat(2)))
+            if d is None:
                 continue
             if self.frontiers[i] >= d:
                 members.append(i)
@@ -260,21 +271,40 @@ class Leq1Relation:
 
 
 def _decomposition_bounds(points):
-    """For each point, the least grid level below which it splits as a sum."""
-    index = {p: i for i, p in enumerate(points)}
-    best = [None] * len(points)
-    for i, a in enumerate(points):
-        if isinstance(a, tm.Zero):
-            continue
-        for j, b in enumerate(points):
-            if isinstance(b, tm.Zero):
-                continue
-            s = tm.add(a, b)
-            k = index.get(s)
-            if k is not None:
-                cut = max(i, j)
-                if best[k] is None or cut < best[k]:
-                    best[k] = cut
+    """For each point, the least grid level below which it splits as a sum.
+
+    That is the least max(rank a, rank b) over nonzero grid points a, b with
+    a + b = p, or None.  Write p in CNF as M[:i] + w^e*c + M[i+1:] with
+    (e, c) = M[i].  Then every such b is a tail w^e*x + M[i+1:] with
+    1 <= x <= c, and the a that go with it are exactly the ordinals in
+    [a0, a0 + w^e) with a0 = M[:i] + w^e*(c - x), since b absorbs the part of
+    a below w^e.  The best a is the least nonzero grid point in that interval.
+    Only the x for which b is a grid point are tried, so a large c (no
+    coeff_cap) costs no more than a small one.
+    """
+    n = len(points)
+    # grid points w^e*x + T, keyed by (e, T), in increasing x and rank
+    tails = {}
+    for j, q in enumerate(points):
+        monos = tm.monomials_of(q)
+        if monos:
+            tails.setdefault((monos[0][0], monos[1:]), []).append((monos[0][1], j))
+    best = [None] * n
+    for k, p in enumerate(points):
+        monos = tm.monomials_of(p)
+        for i, (exp, c) in enumerate(monos):
+            head = monos[:i]
+            for x, j in tails.get((exp, monos[i + 1 :]), ()):
+                if x > c or (best[k] is not None and best[k] <= j):
+                    break
+                # a0 < p, so the least nonzero point at or above a0 exists
+                lo = _bisect(points, tm.from_monomials(head + ((exp, c - x),)))
+                if isinstance(points[lo], tm.Zero):
+                    lo += 1
+                if tm.lt(points[lo], tm.from_monomials(head + ((exp, c - x + 1),))):
+                    cut = max(lo, j)
+                    if best[k] is None or cut < best[k]:
+                        best[k] = cut
     return best
 
 

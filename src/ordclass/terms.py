@@ -148,15 +148,16 @@ def _escape_level(path) -> int:
 
 
 def compare_leaves(a: EpsLeaf, b: EpsLeaf) -> Ordering:
+    if isinstance(a, ConcreteEps) and isinstance(b, ConcreteEps):
+        return compare(a.index, b.index)
     if a == b:
         return EQ
     ra, pa = leaf_path(a)
     rb, pb = leaf_path(b)
+    # concrete leaves never carry constructors (mk_succ normalizes), so a
+    # concrete root here is a bare concrete leaf facing a symbolic one
     a_concrete = isinstance(ra, ConcreteEps)
     b_concrete = isinstance(rb, ConcreteEps)
-    if a_concrete and b_concrete:
-        # concrete leaves never carry constructors (mk_succ normalizes)
-        return compare(ra.index, rb.index)
     if a_concrete != b_concrete:
         # declared atoms live above the concrete notation range
         return LT if a_concrete else GT
@@ -265,7 +266,9 @@ def is_epsilon(t: OrdTerm) -> bool:
 
 
 def compare(a: OrdTerm, b: OrdTerm) -> Ordering:
-    if a == b:
+    # identity, not ==: equal terms built separately reach EQ through the
+    # walk below, and a structural == would cost a walk on every call
+    if a is b:
         return EQ
     if isinstance(a, Leaf) and isinstance(b, Leaf):
         return compare_leaves(a.leaf, b.leaf)

@@ -4,11 +4,9 @@ import pytest
 
 from ordclass import terms as tm
 from ordclass.grammar import parse_ord
-from ordclass.oracle import GridOps, build_grid, leq1_fixpoint
+from ordclass.oracle import ANCHOR_OPS, GridOps, build_grid, leq1_fixpoint
 
 EPS = [tm.ConcreteEps(tm.nat(i)) for i in range(8)]
-
-ANCHOR_OPS = GridOps(tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2)
 
 
 def random_term(rng, depth=3, leaves=EPS[:4]):

@@ -84,16 +84,23 @@ def test_m_hat(anchor_rel):
 
 def test_relation_shape(anchor_rel):
     rel = anchor_rel
-    n = len(rel.grid.points)
-    # reflexive, inside the order, connected (prefix rows), transitive
+    pts = rel.grid.points
+    n = len(pts)
+    # reflexive, inside the order, transitive on prefix rows
     for i, fi in enumerate(rel.frontiers):
         assert i <= fi < n
         for j in range(i, fi + 1):
-            assert rel.frontiers[j] <= fi or rel.frontiers[j] <= fi
-    for i, fi in enumerate(rel.frontiers):
-        for j in range(i, fi + 1):
-            assert rel.frontiers[j] <= fi  # transitivity on prefix rows
-    assert rel.rounds <= len(rel.grid.points) ** 2
+            assert rel.frontiers[j] <= fi
+    # each row is the prefix i..f_i, read through the grid's rank index
+    for i, p in enumerate(pts):
+        fi = rel.frontiers[i]
+        for j, q in enumerate(pts):
+            assert rel.leq1(p, q) == (i <= j <= fi)
+    for outside in ("w+3", "eps(0)*2+w*7", "eps(3)"):
+        assert e(outside) not in rel.grid
+        with pytest.raises(OrdinalError):
+            rel.grid.index(e(outside))
+    assert rel.rounds <= n**2
 
 
 def test_class_detect(anchor_rel):

@@ -1,0 +1,272 @@
+"""Differential tests: the oracle's front end against the quadratic loops it
+replaced, kept here as references.
+
+- `reference_decomposition_bounds` tries every sum of two grid points;
+- `reference_build_grid` offers every frontier pair in both orders each round;
+- `reference_compare` enters with a structural `==`;
+- `reference_points_in` scans every grid point.
+"""
+
+import copy
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import EPS, random_term, seeded
+from ordclass import terms as tm
+from ordclass.errors import GridCapExceeded, OrderUndecidable, OrdinalError
+from ordclass.grammar import parse_ord
+from ordclass.oracle import (
+    ANCHOR_OPS,
+    Grid,
+    GridOps,
+    _decomposition_bounds,
+    _sorted_terms,
+    build_grid,
+    leq1_fixpoint,
+)
+from ordclass.terms import EQ, GT, LT
+
+e = parse_ord
+
+
+def reference_decomposition_bounds(points):
+    index = {p: i for i, p in enumerate(points)}
+    best = [None] * len(points)
+    for i, a in enumerate(points):
+        if isinstance(a, tm.Zero):
+            continue
+        for j, b in enumerate(points):
+            if isinstance(b, tm.Zero):
+                continue
+            k = index.get(tm.add(a, b))
+            if k is not None:
+                cut = max(i, j)
+                if best[k] is None or cut < best[k]:
+                    best[k] = cut
+    return best
+
+
+def reference_build_grid(bound, seeds=(), ops=None, cap=400):
+    ops = ops or GridOps()
+    points = {tm.ZERO, tm.one(), tm.omega()}
+    points.update(seeds)
+    points = {p for p in points if tm.lt(p, bound) and ops.admits(p)}
+
+    def overflow():
+        raise GridCapExceeded(_sorted_terms(points)[:cap], cap)
+
+    if len(points) > cap:
+        overflow()
+    frontier = set(points)
+    while frontier:
+        new = set()
+
+        def offer(t):
+            if t not in points and t not in new and tm.lt(t, bound) and ops.admits(t):
+                new.add(t)
+
+        for t in frontier:
+            if ops.succ:
+                offer(tm.add(t, tm.one()))
+            if ops.double:
+                offer(tm.mul(t, tm.nat(2)))
+            if ops.tower_height and isinstance(t, tm.Leaf):
+                for j in range(1, ops.tower_height + 1):
+                    offer(tm.omega_tower(t.leaf, j))
+        if ops.add:
+            for a in points | frontier:
+                for b in frontier:
+                    offer(tm.add(a, b))
+                    offer(tm.add(b, a))
+        if len(points) + len(new) > cap:
+            points |= new
+            overflow()
+        points |= new
+        frontier = new
+    return Grid(_sorted_terms(points), bound, ops)
+
+
+def reference_compare_leaves(a, b):
+    if a == b:
+        return EQ
+    ra, pa = tm.leaf_path(a)
+    rb, pb = tm.leaf_path(b)
+    a_concrete = isinstance(ra, tm.ConcreteEps)
+    b_concrete = isinstance(rb, tm.ConcreteEps)
+    if a_concrete and b_concrete:
+        return reference_compare(ra.index, rb.index)
+    if a_concrete != b_concrete:
+        return LT if a_concrete else GT
+    if ra == rb:
+        if pa == pb[: len(pa)]:
+            return LT
+        if pb == pa[: len(pb)]:
+            return GT
+        return LT if pa < pb else GT
+    if ra.rank == rb.rank:
+        raise OrderUndecidable(a, b)
+    root_cmp = LT if ra.rank < rb.rank else GT
+    lower_path = pa if root_cmp is LT else pb
+    upper_root = rb if root_cmp is LT else ra
+    if tm._escape_level(lower_path) <= tm.leaf_level(upper_root):
+        return root_cmp
+    raise OrderUndecidable(a, b)
+
+
+def reference_compare(a, b):
+    if a == b:
+        return EQ
+    if isinstance(a, tm.Leaf) and isinstance(b, tm.Leaf):
+        return reference_compare_leaves(a.leaf, b.leaf)
+    ma, mb = tm.monomials_of(a), tm.monomials_of(b)
+    for (ea, ca), (eb, cb) in zip(ma, mb):
+        c = reference_compare(ea, eb)
+        if c is not EQ:
+            return c
+        if ca != cb:
+            return LT if ca < cb else GT
+    if len(ma) == len(mb):
+        return EQ
+    return LT if len(ma) < len(mb) else GT
+
+
+def reference_points_in(grid, lo, hi):
+    return [
+        p for p in grid.points if tm.compare(p, lo) is GT and tm.compare(p, hi) is not GT
+    ]
+
+
+def closure_outcome(build, bound, seeds, ops, cap):
+    """("grid", points), or ("cap", partial points) when the cap is hit."""
+    try:
+        return "grid", build(bound, seeds, ops=ops, cap=cap).points
+    except GridCapExceeded as exc:
+        return "cap", exc.partial_points
+
+
+def assert_front_end_matches(bound, seeds, ops, cap):
+    fast = closure_outcome(build_grid, bound, seeds, ops, cap)
+    slow = closure_outcome(reference_build_grid, bound, seeds, ops, cap)
+    assert fast == slow
+    points = fast[1]
+    assert _decomposition_bounds(points) == reference_decomposition_bounds(points)
+    return fast
+
+
+ANCHOR_SIZES = {1: 51, 2: 129, 3: 243, 4: 393}
+# sha256 prefixes of the JSON (sort_keys, indent=1) and DOT exports, joined
+ANCHOR_EXPORTS = {
+    1: "1cb8bf62b7c1c873",
+    2: "ca12d47f32f80d9b",
+    3: "6cb824afc80e9a83",
+    4: "c6d1a60cbd66d689",
+}
+
+
+def anchor_args(g):
+    return tm.Leaf(EPS[g]), [tm.Leaf(x) for x in EPS[:g]]
+
+
+@pytest.mark.parametrize("g", sorted(ANCHOR_SIZES))
+def test_anchor_grids_match_reference(g):
+    bound, seeds = anchor_args(g)
+    kind, points = assert_front_end_matches(bound, seeds, ANCHOR_OPS, cap=1000)
+    assert kind == "grid" and len(points) == ANCHOR_SIZES[g]
+    rel = leq1_fixpoint(Grid(points, bound, ANCHOR_OPS))
+    export = json.dumps(rel.to_json(), sort_keys=True, indent=1) + rel.to_dot()
+    assert hashlib.sha256(export.encode()).hexdigest()[:16] == ANCHOR_EXPORTS[g]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_anchor_caps_match_reference(g):
+    # a cap inside the last round: the truncated points must agree too
+    cap = ANCHOR_SIZES[g] - 5
+    kind, points = assert_front_end_matches(*anchor_args(g), ANCHOR_OPS, cap=cap)
+    assert kind == "cap" and len(points) == cap
+
+
+def test_tower3_grid_matches_reference(eps0_grid):
+    ops = eps0_grid.ops
+    assert ops.tower_height == 3
+    assert reference_build_grid(eps0_grid.bound, [e("eps(0)")], ops, cap=400).points == (
+        eps0_grid.points
+    )
+    points = eps0_grid.points
+    assert _decomposition_bounds(points) == reference_decomposition_bounds(points)
+
+
+CAPS = st.one_of(st.none(), st.integers(1, 3))
+ops_st = st.builds(
+    GridOps,
+    add=st.booleans(),
+    double=st.booleans(),
+    succ=st.booleans(),
+    tower_height=st.integers(0, 3),
+    coeff_cap=CAPS,
+    tail_cap=CAPS,
+    max_monomials=CAPS,
+)
+BOUNDS = ["eps(1)", "eps(2)", "eps(3)", "eps(1)*3", "w^w", "w^(eps(0)+1)"]
+SEEDS = ["eps(0)", "eps(1)", "eps(2)", "w*2", "eps(0)+w", "w^(w+1)"]
+
+
+@given(
+    ops_st,
+    st.sampled_from(BOUNDS),
+    st.lists(st.sampled_from(SEEDS), max_size=3),
+    st.integers(3, 80),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_grids_match_reference(ops, bound, seeds, cap):
+    assert_front_end_matches(e(bound), [e(s) for s in seeds], ops, cap)
+
+
+def test_compare_matches_reference_on_random_terms():
+    A = tm.ClassAtom("A", 3, 1)
+    B = tm.ClassAtom("B", 2, 2)
+    symbolic = [
+        A,
+        B,
+        tm.mk_succ(A, 1),
+        tm.mk_succ(A, 2),
+        tm.mk_succ(B, 1),
+        tm.mk_canonical(1, A, 2),
+        tm.mk_canonical(2, A, 1),
+    ]
+    pools = [EPS[:4], EPS[:2] + symbolic]
+    rng = seeded(7)
+
+    def outcome(cmp, a, b):
+        try:
+            return cmp(a, b)
+        except OrdinalError as exc:
+            return type(exc)
+
+    checked = 0
+    while checked < 3000:
+        pool = pools[checked % 2]
+        try:
+            a = random_term(rng, depth=3, leaves=pool)
+            b = random_term(rng, depth=3, leaves=pool)
+        except OrdinalError:
+            continue  # the pool's leaves met an undecidable pair while building
+        for x, y in ((a, b), (b, a), (a, tm.rebuild(a)), (copy.deepcopy(b), b)):
+            assert outcome(tm.compare, x, y) == outcome(reference_compare, x, y)
+        assert tm.compare(a, copy.deepcopy(a)) is EQ
+        checked += 1
+
+
+def test_points_in_matches_scan(anchor_rel):
+    grid = anchor_rel.grid
+    off_grid = [e(t) for t in ("w+3", "eps(0)*2+w*7", "eps(3)", "eps(5)", "w^w^w")]
+    for t in off_grid:
+        assert t not in grid
+    probes = list(grid.points[::20]) + off_grid
+    for lo in probes:
+        for hi in probes:
+            assert anchor_rel.points_in(lo, hi) == reference_points_in(grid, lo, hi)
+    assert anchor_rel.points_in(e("eps(2)"), e("eps(1)")) == []
+    assert anchor_rel.points_in(e("eps(1)"), e("eps(1)")) == []
