@@ -6,7 +6,7 @@ batch script with one command per line (# starts a comment).  Arguments are
 whitespace-separated; ordinal expressions therefore contain no spaces
 (or are quoted in script files).
 
-Exit codes: 0 success, 1 domain error, 2 parse error.
+Exit codes: 0 success, 1 domain error, 2 parse or usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import sys
 from dataclasses import dataclass, field
@@ -55,16 +56,46 @@ def _term(session, text):
     return parse_ord(text, session.context.atoms)
 
 
+# A line without quotes, escapes or comments, whose only whitespace is what
+# shlex splits on, splits the same under str.split, at a fraction of the cost.
+_SHELL_SYNTAX = re.compile(r"""['"\\#]|[^\S \t\r\n]""")
+
+
+def _split(command):
+    if _SHELL_SYNTAX.search(command) is None:
+        return command.split()
+    return shlex.split(command, comments=True)
+
+
 def run_command(session: Session, command: str):
     """Execute one command; returns (text, payload) with payload JSON-able."""
-    words = shlex.split(command, comments=True)
+    words = _split(command)
     if not words:
         return "", None
     verb, args = words[0], words[1:]
     handler = _VERBS.get(verb)
     if handler is None:
         raise OrdinalError(f"unknown verb {verb!r}")
+    _check_args(verb, args)
     return handler(session, args)
+
+
+def _check_args(verb, args):
+    """Usage errors (a ParseError) for a wrong argument count or a
+    non-integer where _SIGNATURES wants an integer."""
+    names = _SIGNATURES[verb].split()
+    required = sum(1 for a in names if not a.startswith("["))
+    variadic = names[-1].endswith("...]")
+    if len(args) < required or (len(args) > len(names) and not variadic):
+        raise ParseError(f"usage: {verb} {_SIGNATURES[verb]}")
+    for name, arg in zip(names, args):
+        if name in _INT_ARGS:
+            try:
+                int(arg)
+            except ValueError:
+                raise ParseError(
+                    f"{verb}: {name} must be an integer, not {arg!r}"
+                ) from None
 
 
 def _cmd_declare(session, args):
@@ -240,6 +271,27 @@ _VERBS = {
     "astep": _cmd_astep,
     "export": _cmd_export,
 }
+
+# Arguments of each verb: [X] is optional, [X...] is any number of them;
+# the arguments named in _INT_ARGS must be integers.
+_SIGNATURES = {
+    "declare": "NAME LEVEL",
+    "eval": "EXPR",
+    "tset": "N ALPHA T",
+    "gmap": "N ALPHA C",
+    "eta": "K ALPHA T [GRID]",
+    "ell": "K ALPHA T [GRID]",
+    "lambda": "J T",
+    "canon": "I E K [GRID]",
+    "grid": "NAME BOUND [SEED...]",
+    "leq1": "GRID A B",
+    "mhat": "GRID T",
+    "classdetect": "GRID J",
+    "gset": "N ALPHA T GRID",
+    "astep": "N ALPHA L GRID",
+    "export": "GRID FILE",
+}
+_INT_ARGS = {"LEVEL", "N", "K", "J", "I"}
 
 
 def main(argv=None) -> int:

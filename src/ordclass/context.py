@@ -2,15 +2,24 @@
 
 A ClassContext holds the declared class atoms, the partial table of known
 m-values, and every leaf materialized so far (the "skeleton"), which the
-S-set and T-set computations enumerate over.
+S-set and T-set computations enumerate over.  Interval queries over the
+m-annotated terms and the known leaves bisect sorted indexes of them.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 
 from . import terms as tm
-from .errors import LevelViolation, MissingMValue, UndeclaredAtom, Undecidable
+from .errors import (
+    LevelViolation,
+    MissingMValue,
+    OrderUndecidable,
+    UndeclaredAtom,
+    Undecidable,
+)
 from .terms import GT, LT
 
 
@@ -31,11 +40,63 @@ class NegInfinity:
 NEG_INFINITY = NegInfinity()
 
 
+class _TermIndex:
+    """Terms in increasing `terms.compare` order, for interval queries.
+
+    The index is sorted on its first query and kept sorted by insertion
+    after that, so a context that is only being set up pays nothing for it.
+    If some pair of its terms has no decidable order, it is dropped for good
+    and answers no query; the caller then tests every term instead.
+    """
+
+    __slots__ = ("terms", "dropped")
+
+    def __init__(self):
+        self.terms: list[tm.OrdTerm] | None = None
+        self.dropped = False
+
+    def add(self, t: tm.OrdTerm):
+        """Insert a term that is not in the index yet (once it is built)."""
+        if self.terms is None:
+            return
+        try:
+            bisect.insort(self.terms, t, key=functools.cmp_to_key(tm.compare))
+        except OrderUndecidable:
+            self.terms, self.dropped = None, True
+
+    def between(self, source, lo, hi, hi_closed):
+        """The terms r with lo < r < hi (r <= hi if hi_closed), increasing.
+
+        `source` yields every term of the index, and is read only to build
+        it.  None when the index is dropped, or when lo or hi has no
+        decidable place in it.  A returned answer rests on the order of the
+        index: r < lo is read off r < r' <= lo for a neighbour r', so it
+        holds even where r and lo are not comparable directly.
+        """
+        if self.dropped:
+            return None
+        if self.terms is None:
+            try:
+                self.terms = sorted(source, key=functools.cmp_to_key(tm.compare))
+            except OrderUndecidable:
+                self.dropped = True
+                return None
+        try:
+            i = tm.bisect_terms(self.terms, lo, right=True)
+            j = tm.bisect_terms(self.terms, hi, right=hi_closed)
+        except OrderUndecidable:
+            return None
+        return self.terms[i:j]
+
+
 class ClassContext:
     def __init__(self):
         self.atoms: dict[str, tm.ClassAtom] = {}
         self.m_table: dict[tm.OrdTerm, tm.OrdTerm] = {}
-        self.known_leaves: list[tm.EpsLeaf] = []
+        # an insertion-ordered set: registration tests membership in O(1)
+        self.known_leaves: dict[tm.EpsLeaf, None] = {}
+        self._m_index = _TermIndex()  # the keys of m_table
+        self._leaf_index = _TermIndex()  # the known leaves, as terms
 
     # -- declarations -------------------------------------------------------
 
@@ -61,10 +122,19 @@ class ClassContext:
 
     def register(self, leaf: tm.EpsLeaf):
         if leaf not in self.known_leaves:
-            self.known_leaves.append(leaf)
+            self.known_leaves[leaf] = None
+            self._leaf_index.add(tm.Leaf(leaf))
 
     def leaves_between(self, lo: tm.OrdTerm, hi: tm.OrdTerm, min_level=1):
         """Known leaves in the open interval (lo, hi), increasing."""
+        inside = self.leaf_terms_in(lo, hi, hi_closed=False)
+        if inside is None:
+            return self.scan_leaves_between(lo, hi, min_level)
+        return tuple(r.leaf for r in inside if tm.leaf_level(r.leaf) >= min_level)
+
+    def scan_leaves_between(self, lo: tm.OrdTerm, hi: tm.OrdTerm, min_level=1):
+        """leaves_between by testing every known leaf: the answer where the
+        leaf index has none, and the reference the tests hold it to."""
         out = [
             e
             for e in self.known_leaves
@@ -74,6 +144,13 @@ class ClassContext:
         ]
         return tm.sort_leaves(out)
 
+    def leaf_terms_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm, hi_closed=True):
+        """Known leaves r (as terms) with lo < r <= hi, or r < hi if not
+        hi_closed, increasing; None when the leaf index cannot answer."""
+        return self._leaf_index.between(
+            map(tm.Leaf, self.known_leaves), lo, hi, hi_closed
+        )
+
     # -- m-values ------------------------------------------------------------
 
     def set_m(self, term: tm.OrdTerm, value: tm.OrdTerm):
@@ -81,7 +158,14 @@ class ClassContext:
             raise LevelViolation(
                 f"m-annotation below its argument: m({term!r}) = {value!r}"
             )
+        if term not in self.m_table:
+            self._m_index.add(term)
         self.m_table[term] = value
+
+    def m_keys_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
+        """The m-annotated terms r with lo < r <= hi, increasing; None when
+        the index of annotations cannot answer."""
+        return self._m_index.between(self.m_table, lo, hi, hi_closed=True)
 
     def m_of(self, term: tm.OrdTerm) -> tm.OrdTerm:
         """Annotated or structurally forced m-value; loud on genuine gaps."""

@@ -6,8 +6,13 @@ class OrdinalError(Exception):
 
 
 class ParseError(OrdinalError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    """Malformed input: an expression (at a character position) or a
+    command line (position None)."""
+
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
 
 

@@ -15,27 +15,19 @@ import re
 from . import terms as tm
 from .errors import LevelViolation, ParseError, UndeclaredAtom
 
+# every character that starts no token is a one-character `bad` token
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[@^*+(),]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[@^*+(),])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is None:
-            break
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 

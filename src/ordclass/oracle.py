@@ -24,7 +24,6 @@ module keeps a slow subset-enumerating checker for cross-validation.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import itertools
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import terms as tm
 from .errors import GridCapExceeded, OrdinalError
-from .grammar import parse_ord, render_ord
+from .grammar import render_ord
 from .terms import LT
 
 
@@ -88,8 +87,13 @@ class Grid:
     def __contains__(self, t):
         return t in self.ranks
 
+    @functools.cached_property
+    def rendered(self) -> tuple[str, ...]:
+        """The points in the grammar's canonical text."""
+        return tuple(render_ord(p) for p in self.points)
+
     def digest(self) -> str:
-        payload = ";".join(render_ord(p) for p in self.points)
+        payload = ";".join(self.rendered)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -97,13 +101,6 @@ def _sorted_terms(terms_it):
     return tuple(
         sorted(set(terms_it), key=functools.cmp_to_key(tm.compare))
     )
-
-
-def _bisect(points, t, right=False) -> int:
-    """Number of sorted points below t, or at or below t if right."""
-    key = functools.cmp_to_key(tm.compare)
-    find = bisect.bisect_right if right else bisect.bisect_left
-    return find(points, key(t), key=key)
 
 
 def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> Grid:
@@ -180,7 +177,8 @@ class Leq1Relation:
     def points_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
         """Grid points r with lo < r <= hi."""
         pts = self.grid.points
-        return list(pts[_bisect(pts, lo, right=True) : _bisect(pts, hi, right=True)])
+        lo, hi = tm.bisect_terms(pts, lo, right=True), tm.bisect_terms(pts, hi, right=True)
+        return list(pts[lo:hi])
 
     def boundary_suspect(self, t: tm.OrdTerm) -> bool:
         """The frontier of t runs into the grid edge."""
@@ -229,7 +227,7 @@ class Leq1Relation:
     def to_json(self):
         n = len(self.grid.points)
         return {
-            "points": [render_ord(p) for p in self.grid.points],
+            "points": list(self.grid.rendered),
             "frontiers": list(self.frontiers),
             "matrix": [
                 "0" * i + "1" * (fi - i + 1) + "0" * (n - fi - 1)
@@ -238,17 +236,6 @@ class Leq1Relation:
             "subset_cap": self.subset_cap,
             "rounds": self.rounds,
         }
-
-    @classmethod
-    def from_json(cls, data, bound=None, ops=None) -> "Leq1Relation":
-        points = tuple(parse_ord(p) for p in data["points"])
-        grid = Grid(points, bound or points[-1], ops or GridOps())
-        return cls(
-            grid,
-            tuple(data["frontiers"]),
-            data["subset_cap"],
-            data["rounds"],
-        )
 
     def strict_pairs(self):
         for i, fi in enumerate(self.frontiers):
@@ -298,7 +285,7 @@ def _decomposition_bounds(points):
                 if x > c or (best[k] is not None and best[k] <= j):
                     break
                 # a0 < p, so the least nonzero point at or above a0 exists
-                lo = _bisect(points, tm.from_monomials(head + ((exp, c - x),)))
+                lo = tm.bisect_terms(points, tm.from_monomials(head + ((exp, c - x),)))
                 if isinstance(points[lo], tm.Zero):
                     lo += 1
                 if tm.lt(points[lo], tm.from_monomials(head + ((exp, c - x + 1),))):
@@ -453,19 +440,40 @@ def cache_path(cache_dir, grid: Grid, subset_cap: int):
 
 
 def leq1_cached(grid: Grid, subset_cap: int = 4, cache_dir=None) -> Leq1Relation:
-    """Compute or reload the relation; snapshots keyed by grid digest and cap."""
+    """Compute or reload the relation; snapshots keyed by grid digest and cap.
+
+    A snapshot is used only if it is JSON for this very grid and cap, with
+    one frontier i <= f_i < n per point; any other file is a miss, and the
+    relation is computed again and the file rewritten.
+    """
     import os
 
     if cache_dir is None:
         return leq1_fixpoint(grid, subset_cap)
     path = cache_path(cache_dir, grid, subset_cap)
     if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        rel = Leq1Relation.from_json(data, bound=grid.bound, ops=grid.ops)
-        return Leq1Relation(grid, rel.frontiers, rel.subset_cap, rel.rounds)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except ValueError:  # malformed JSON or text
+            data = None
+        if _snapshot_fits(data, grid, subset_cap):
+            return Leq1Relation(grid, tuple(data["frontiers"]), subset_cap, data["rounds"])
     rel = leq1_fixpoint(grid, subset_cap)
     os.makedirs(cache_dir, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(rel.to_json(), fh, sort_keys=True)
     return rel
+
+
+def _snapshot_fits(data, grid: Grid, subset_cap: int) -> bool:
+    if not isinstance(data, dict) or data.get("points") != list(grid.rendered):
+        return False
+    f, n = data.get("frontiers"), len(grid.points)
+    return (
+        data.get("subset_cap") == subset_cap
+        and type(data.get("rounds")) is int
+        and isinstance(f, list)
+        and len(f) == n
+        and all(type(fi) is int and i <= fi < n for i, fi in enumerate(f))
+    )

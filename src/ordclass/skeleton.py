@@ -55,30 +55,63 @@ def _mode_args(mode, ctx, rel):
     raise RegimeMixed(f"unknown mode {mode!r}")
 
 
+def _inside(r, a, t):
+    return tm.compare(r, a) is GT and tm.compare(r, t) is not GT
+
+
 def _structural_candidates(ctx, k, alpha, t):
-    """(r, m(r)) for every known r in (alpha, t] whose m is available."""
+    """(r, m(r)) for every known r in (alpha, t] whose m is available.
+
+    The m-annotated terms and the known leaves in (alpha, t] are bisected
+    out of the context's sorted indexes; where an index cannot answer,
+    every annotation and leaf is tested instead (`_scan_candidates`).
+    """
     a = tm.Leaf(alpha)
+    keys = ctx.m_keys_in(a, t)
+    leaves = None if keys is None else ctx.leaf_terms_in(a, t)
+    if leaves is None:
+        return _scan_candidates(ctx, k, alpha, t)
+    return _gather(ctx, k, alpha, t, keys, leaves)
 
-    def inside(r):
-        return tm.compare(r, a) is GT and tm.compare(r, t) is not GT
 
+def _scan_candidates(ctx, k, alpha, t):
+    """_structural_candidates by testing every annotation and leaf: the
+    answer where an index has none, and the reference the tests hold the
+    indexed answer to."""
+    a = tm.Leaf(alpha)
+    keys = (r for r in ctx.m_table if _inside(r, a, t))
+    leaves = (r for r in map(tm.Leaf, ctx.known_leaves) if _inside(r, a, t))
+    return _gather(ctx, k, alpha, t, keys, leaves)
+
+
+def _gather(ctx, k, alpha, t, keys, leaves):
+    """The candidates from the chain below alpha(+^k), the annotated terms
+    `keys` and the known leaves `leaves`, each inside (alpha, t]."""
+    a = tm.Leaf(alpha)
     out = {}
     cur = alpha
     for j in range(k - 1, 0, -1):
         cur = tm.mk_succ(cur, j)
         r = tm.Leaf(cur)
-        if inside(r):
+        if _inside(r, a, t):
             out[r] = chain_bound(alpha, k)
-    for r, m in ctx.m_table.items():
-        if inside(r):
-            out[r] = m
-    for leaf in ctx.known_leaves:
-        r = tm.Leaf(leaf)
-        if r not in out and inside(r) and ctx.has_m(r):
+    for r in keys:
+        out[r] = ctx.m_table[r]
+    for r in leaves:
+        if r not in out and ctx.has_m(r):
             out[r] = ctx.m_of(r)
     if t not in out:
         out[t] = ctx.m_of(t)
     return out
+
+
+def _greatest(values):
+    """The first of the values that no later one exceeds."""
+    best = None
+    for v in values:
+        if best is None or tm.compare(v, best) is GT:
+            best = v
+    return best
 
 
 def eta_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
@@ -90,17 +123,8 @@ def eta_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
         return bound
     if mode == ORACLE:
         rel.m_hat(t)  # t must be a grid point
-        values = [rel.m_hat(r) for r in rel.points_in(tm.Leaf(alpha), t)]
-        best = values[0]
-        for v in values[1:]:
-            if tm.compare(v, best) is GT:
-                best = v
-        return best
-    best = None
-    for _, m in _structural_candidates(ctx, k, alpha, t).items():
-        if best is None or tm.compare(m, best) is GT:
-            best = m
-    return best
+        return _greatest(rel.m_hat(r) for r in rel.points_in(tm.Leaf(alpha), t))
+    return _greatest(_structural_candidates(ctx, k, alpha, t).values())
 
 
 def l_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
@@ -110,17 +134,15 @@ def l_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
     bound = chain_bound(alpha, k)
     if tm.compare(t, bound) is not GT:
         return bound
-    eta = eta_compute(k, alpha, t, mode, ctx=ctx, rel=rel)
     if mode == ORACLE:
+        eta = eta_compute(k, alpha, t, mode, ctx=ctx, rel=rel)
         for r in rel.points_in(tm.Leaf(alpha), t):
             if tm.compare(rel.m_hat(r), eta) is EQ:
                 return r
         raise AssertionError("eta maximum vanished")
-    hits = [
-        r
-        for r, m in _structural_candidates(ctx, k, alpha, t).items()
-        if tm.compare(m, eta) is EQ
-    ]
+    candidates = _structural_candidates(ctx, k, alpha, t)
+    eta = _greatest(candidates.values())
+    hits = [r for r, m in candidates.items() if tm.compare(m, eta) is EQ]
     best = hits[0]
     for r in hits[1:]:
         if tm.compare(r, best) is LT:

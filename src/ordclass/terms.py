@@ -8,6 +8,8 @@ values are immutable and hashable; arithmetic and comparison are exact.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -282,6 +284,13 @@ def compare(a: OrdTerm, b: OrdTerm) -> Ordering:
     if len(ma) == len(mb):
         return EQ
     return LT if len(ma) < len(mb) else GT
+
+
+def bisect_terms(sorted_terms, t, right=False) -> int:
+    """Number of sorted terms below t, or at or below t if right."""
+    key = functools.cmp_to_key(compare)
+    find = bisect.bisect_right if right else bisect.bisect_left
+    return find(sorted_terms, key(t), key=key)
 
 
 def lt(a, b):

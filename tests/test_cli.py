@@ -1,6 +1,10 @@
 import json
+import shlex
 
-from ordclass.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ordclass.cli import _SHELL_SYNTAX, _split, main
 
 
 def run(capsys, *argv):
@@ -152,3 +156,77 @@ def test_round_trip_of_printed_terms(capsys):
         assert code == 0
         printed = out.strip()
         assert parse_ord(printed) == parse_ord(text)
+
+
+_LINE_CHARS = list("abc019()+*^@,_w-") + [" ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", " "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_LINE_CHARS), max_size=40))
+def test_plain_lines_split_like_shlex(line):
+    if _SHELL_SYNTAX.search(line) is None:
+        assert line.split() == shlex.split(line, comments=True)
+    assert _split(line) == shlex.split(line, comments=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_LINE_CHARS + list("'\"\\#")), max_size=40))
+def test_split_matches_shlex(line):
+    try:
+        want = shlex.split(line, comments=True)
+    except ValueError:  # an unclosed quote or a trailing escape
+        with pytest.raises(ValueError):
+            _split(line)
+        return
+    assert _split(line) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["declare", "A"],
+        ["declare", "A", "x"],
+        ["declare", "A", "3", "4"],
+        ["eval"],
+        ["grid", "g"],
+        ["tset", "1.5", "eps(0)", "eps(0)*2"],
+        ["canon", "1", "eps(0)"],
+        ["classdetect", "g", "one"],
+        ["export", "g"],
+        ["leq1", "g", "0"],
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and argv[0] in err
+    assert "Traceback" not in err
+
+
+def test_optional_and_repeated_arguments(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text(
+        "grid g eps(3) eps(0) eps(1) eps(2)\n"
+        "grid h eps(1)\n"
+        "eta 1 eps(0) eps(0)*2+1 g\n"
+        "eta 1 eps(0) eps(0)*2+1\n"
+        "canon 1 eps(0) 2 g\n"
+    )
+    code, out, err = run(capsys, "--script", str(script))
+    assert code == 0, err
+    assert out.splitlines()[0] == "grid g: 243 points, 2 rounds"
+    code, _, err = run(capsys, "eta", "1", "eps(0)", "eps(0)*2+1", "g", "extra")
+    assert code == 2 and "usage: eta K ALPHA T [GRID]" in err
+
+
+def test_usage_error_names_the_signature(capsys):
+    _, _, err = run(capsys, "declare", "A")
+    assert err.strip() == "parse error: usage: declare NAME LEVEL"
+    _, _, err = run(capsys, "declare", "A", "x")
+    assert err.strip() == "parse error: declare: LEVEL must be an integer, not 'x'"
+
+
+def test_every_verb_has_a_signature():
+    from ordclass.cli import _SIGNATURES, _VERBS
+
+    assert set(_SIGNATURES) == set(_VERBS)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.context import ClassContext
 from ordclass.errors import ParseError, UndeclaredAtom
-from ordclass.grammar import parse_ord, render_ord
+from ordclass.grammar import _tokenize, parse_ord, render_ord
 
 
 def test_spec_examples():
@@ -88,3 +90,44 @@ def test_atom_roundtrip_with_context():
     for _ in range(120):
         t = random_term(rng, depth=3, leaves=leaves)
         assert parse_ord(render_ord(t), ctx.atoms) == t
+
+
+def _tokenize_by_loop(text):
+    """The tokenizer as a match-per-token loop: the reference for _tokenize."""
+    token = re.compile(
+        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[@^*+(),]))"
+    )
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token.match(text, pos)
+        if not m:
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+            if pos == len(text):
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+_TOKEN_TEXT = st.text(
+    alphabet=st.sampled_from(list("w^*+(),@0123456789eps_xAZ ?#!.-{}\t\n\x0b\x1c\xa0 ٣²é")),
+    max_size=30,
+) | st.text(max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TOKEN_TEXT)
+def test_tokenize_matches_the_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_tokenize_by_loop, text)

@@ -164,3 +164,33 @@ def test_cache_roundtrip(tmp_path):
     again = leq1_cached(grid, 4, str(tmp_path))
     assert again.frontiers == rel.frontiers
     assert list(tmp_path.iterdir()) == files
+
+
+def _small_grid():
+    ops = GridOps(tower_height=1, coeff_cap=1, tail_cap=1, max_monomials=2)
+    return build_grid(e("eps(1)"), seeds=[e("eps(0)")], ops=ops, cap=200)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda text: text[: len(text) // 2],  # truncated file: malformed JSON
+        lambda text: b"\xff\xfe not text",
+        lambda text: json.dumps({**json.loads(text), "frontiers": json.loads(text)["frontiers"][:-3]}),
+        lambda text: json.dumps({**json.loads(text), "frontiers": [0] * len(json.loads(text)["frontiers"])}),
+        lambda text: json.dumps({**json.loads(text), "points": json.loads(text)["points"][::-1]}),
+        lambda text: json.dumps({**json.loads(text), "rounds": "2"}),
+        lambda text: json.dumps([1, 2, 3]),
+    ],
+    ids=["truncated", "garbage", "short-frontiers", "frontier-below-row", "points", "rounds", "not-an-object"],
+)
+def test_invalid_snapshot_is_a_miss(tmp_path, spoil):
+    grid = _small_grid()
+    fresh = leq1_cached(grid, 4, str(tmp_path))
+    [path] = tmp_path.iterdir()
+    good = path.read_text()
+    bad = spoil(good)
+    path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
+    again = leq1_cached(grid, 4, str(tmp_path))
+    assert again.frontiers == fresh.frontiers and again.rounds == fresh.rounds
+    assert path.read_text() == good  # recomputed and rewritten
