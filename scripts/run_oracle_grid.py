@@ -3,7 +3,7 @@
 reports: an anchor summary, the JSON matrix dump, and the DOT covering
 relation.
 
-Usage: python scripts/run_oracle_grid.py [outdir] [--subset-cap N]
+Usage: python scripts/run_oracle_grid.py [outdir] [--cap N]
 """
 
 import argparse
@@ -24,7 +24,6 @@ e = parse_ord
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("outdir", nargs="?", default="reports")
-    parser.add_argument("--subset-cap", type=int, default=4)
     parser.add_argument("--cap", type=int, default=400)
     ns = parser.parse_args()
 
@@ -35,7 +34,7 @@ def main():
         ops=ANCHOR_OPS,
         cap=ns.cap,
     )
-    rel = leq1_fixpoint(grid, ns.subset_cap)
+    rel = leq1_fixpoint(grid)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(ns.outdir, exist_ok=True)
@@ -47,7 +46,7 @@ def main():
 
     lines = [
         f"grid points: {len(grid.points)} (below eps(3))",
-        f"fixpoint rounds: {rel.rounds}, subset cap {ns.subset_cap}, {elapsed:.2f}s",
+        f"fixpoint rounds: {rel.rounds}, {elapsed:.2f}s",
         "",
         "anchor facts (grid-relative):",
     ]

@@ -34,7 +34,6 @@ class Session:
     grids: dict = field(default_factory=dict)  # name -> (Grid, Leq1Relation)
     output_format: str = "text"
     cache_dir: str | None = None
-    subset_cap: int = 4
     grid_cap: int = 400
 
     def grid_named(self, name):
@@ -173,7 +172,7 @@ def _cmd_grid(session, args):
         raise OrdinalError(f"grid {name!r} already exists; snapshots are immutable")
     seeds = [_term(session, a) for a in args[2:]]
     grid = build_grid(bound, seeds, ops=ANCHOR_OPS, cap=session.grid_cap)
-    rel = leq1_cached(grid, session.subset_cap, session.cache_dir)
+    rel = leq1_cached(grid, session.cache_dir)
     session.grids[name] = (grid, rel)
     text = f"grid {name}: {len(grid.points)} points, {rel.rounds} rounds"
     return text, {"grid": name, "points": len(grid.points), "rounds": rel.rounds}
@@ -306,7 +305,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache-dir", default=os.environ.get("ORDCLASS_CACHE_DIR")
     )
-    parser.add_argument("--subset-cap", type=int, default=4)
     parser.add_argument("--grid-cap", type=int, default=400)
     parser.add_argument("command", nargs="*", help="a single command")
     ns = parser.parse_args(argv)
@@ -314,7 +312,6 @@ def main(argv=None) -> int:
     session = Session(
         output_format=ns.format,
         cache_dir=ns.cache_dir,
-        subset_cap=ns.subset_cap,
         grid_cap=ns.grid_cap,
     )
     if ns.context:

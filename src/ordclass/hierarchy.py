@@ -28,10 +28,14 @@ class HierarchySet:
     sample_relative: bool = True
 
 
-def _oracle_level(k):
+def _t_below(k, alpha, t, mode, ctx):
+    """The members of T(k, alpha, t) below alpha."""
+    if mode != ORACLE:
+        return T_set(ctx, k, alpha, t).intersect_below(alpha)
     # grid T-sets are Ep-sets, which is the level-1 identity only
     if k != 1:
         raise Undecidable(f"grids decide level-1 intervals only, got level {k}")
+    return [e for e in tm.ep_set(t) if tm.compare_leaves(e, alpha) is LT]
 
 
 def leq1_query(beta: tm.EpsLeaf, v: tm.OrdTerm, *, ctx=None, rel=None):
@@ -62,12 +66,7 @@ def G_membership(n, alpha, t, beta, mode=ORACLE, *, ctx=None, rel=None):
     b = tm.Leaf(beta)
     if tm.compare(b, tm.Leaf(alpha)) is GT:
         return False, "beta above alpha"
-    if mode == ORACLE:
-        _oracle_level(k)
-        tcap = [e for e in tm.ep_set(t) if tm.compare_leaves(e, alpha) is LT]
-    else:
-        tcap = T_set(ctx, k, alpha, t).intersect_below(alpha)
-    for e in tcap:
+    for e in _t_below(k, alpha, t, mode, ctx):
         if tm.compare_leaves(e, beta) is not LT:
             return False, "T-set not contained in beta"
     eta = eta_compute(k, alpha, t, mode, ctx=ctx, rel=rel)
@@ -102,19 +101,13 @@ def A_successor_step(n, alpha, l, prev: HierarchySet, mode=ORACLE, *, ctx=None, 
 
 
 def A_degenerate(n, alpha, t, universe, mode=ORACLE, *, ctx=None, rel=None) -> HierarchySet:
-    """A^{n-1}(t) on [alpha, chain bound]: Lim Class(n-1) above max(T below alpha)."""
-    k = n - 1
-    if mode == ORACLE:
-        _oracle_level(k)
-        tcap = [e for e in tm.ep_set(t) if tm.compare_leaves(e, alpha) is LT]
-    else:
-        tcap = T_set(ctx, k, alpha, t).intersect_below(alpha)
-    cut = tcap[0] if tcap else None
-    members = []
-    for beta in lim_sample(universe):
-        if cut is None or tm.compare_leaves(beta, cut) is GT:
-            members.append(beta)
-    return HierarchySet("A-successor-trace", n, alpha, t, tuple(members))
+    """A^{n-1}(t) on [alpha, chain bound]: Lim Class(n-1) above max(T below alpha).
+
+    A finite sample has no limit points, so the set is empty; T below alpha
+    is still computed, so a T it cannot decide fails as it would with limits.
+    """
+    _t_below(n - 1, alpha, t, mode, ctx)
+    return HierarchySet("A-successor-trace", n, alpha, t, lim_sample(universe))
 
 
 def S_interval(i, alpha, r, t, universe, mode=ORACLE, *, ctx=None, rel=None):
@@ -125,12 +118,7 @@ def S_interval(i, alpha, r, t, universe, mode=ORACLE, *, ctx=None, rel=None):
     for q in universe:
         if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
             continue
-        if mode == ORACLE:
-            _oracle_level(i)
-            tcap = [e for e in tm.ep_set(q) if tm.compare_leaves(e, alpha) is LT]
-        else:
-            tcap = T_set(ctx, i, alpha, q).intersect_below(alpha)
-        if all(tm.compare_leaves(e, r) is LT for e in tcap):
+        if all(tm.compare_leaves(e, r) is LT for e in _t_below(i, alpha, q, mode, ctx)):
             out.append(q)
     return tuple(out)
 
@@ -173,13 +161,7 @@ class Transport:
         for q in universe:
             if tm.compare(q, lo) is LT or tm.compare(q, hi) is not LT:
                 continue
-            if mode == ORACLE:
-                _oracle_level(self.k)
-                tcap = [
-                    e for e in tm.ep_set(q) if tm.compare_leaves(e, self.kappa) is LT
-                ]
-            else:
-                tcap = T_set(ctx, self.k, self.kappa, q).intersect_below(self.kappa)
+            tcap = _t_below(self.k, self.kappa, q, mode, ctx)
             if all(tm.compare_leaves(e, self.r) is LT for e in tcap):
                 out.append(q)
         return tuple(out)

@@ -1,25 +1,37 @@
 """Finite-grid decision procedure for the <=1 relation.
 
-The relation is the greatest self-consistent fixpoint, reached from the full
-order relation by removal-only rounds, of the check:
+The relation is the fixpoint of the following check that removal-only
+rounds reach from the full order relation, each round sweeping the rows in
+descending order:
 
-    alpha <=1 beta  iff  for every finite B of grid points below beta with at most
-    `subset_cap` points of B above alpha, there is an embedding h of B into
-    the ordinals below alpha that fixes the part of B below alpha pointwise, is strictly
-    increasing, and preserves sum triples and the current relation facts.
+    alpha <=1 beta  iff  for every finite B of grid points below beta, there is
+    an embedding h of B into the ordinals below alpha that fixes the part of B
+    below alpha pointwise, is strictly increasing, and preserves sum triples
+    and the current relation facts.
 
 Restricting h's images to grid points empties the relation on any finite
 grid (the largest grid point below alpha blocks every image), so images are
 drawn from the witness family the anchor theorems guarantee below an epsilon
 point: a tall additive principal V above every grid point below alpha, with
 window points alpha*mu + delta mapped to V*mu + delta.  Sum triples are then
-preserved automatically, and the relation facts of images are decidable:
+preserved automatically, because alpha and V are both additively principal
+and above every low point; in particular a window point, being at least
+alpha, is never the sum of two points below alpha.  So the fast engine tests
+no sum triple.  The relation facts of images are decidable:
 V reaches its own translates V + delta and nothing at or beyond V*2, points
 with delta != 0 or mu >= 2 reach nothing, and a low point c reaches an image
 iff it reaches alpha.  Below a non-epsilon point no such family exists and
 the row collapses to reflexivity, a documented under-approximation.  The
-per-pair check therefore reduces to window-consistency conditions; the
-module keeps a slow subset-enumerating checker for cross-validation.
+per-pair check therefore reduces to two window conditions (`_row_frontier`).
+
+The module keeps the literal check as a slow subset-enumerating reference,
+`slow_check_pair`, which takes a bound on the number of points of B above
+alpha; the tests require the fixpoint that the same rounds reach with the
+reference to equal `leq1_fixpoint` on drawn grids.  The check reads the
+current relation facts, so it is not monotone, and the sweep order is part
+of the definition: on some grids two self-consistent relations are
+incomparable and their union is not self-consistent, so there is no
+greatest one.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 from . import terms as tm
-from .errors import GridCapExceeded, OrdinalError
+from .errors import GridCapExceeded, LevelViolation, OrdinalError
 from .grammar import render_ord
 from .terms import LT
 
@@ -161,7 +174,6 @@ def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> G
 class Leq1Relation:
     grid: Grid
     frontiers: tuple[int, ...]
-    subset_cap: int
     rounds: int
 
     # -- queries -------------------------------------------------------------
@@ -186,6 +198,8 @@ class Leq1Relation:
 
     def class_detect(self, j: int):
         """Grid points with a <1-chain of length j, with witnesses."""
+        if j < 1:
+            raise LevelViolation(f"class level must be >= 1, got {j}")
         pts = self.grid.points
         level: dict[int, list[int]] = {}
         members = []
@@ -233,7 +247,6 @@ class Leq1Relation:
                 "0" * i + "1" * (fi - i + 1) + "0" * (n - fi - 1)
                 for i, fi in enumerate(self.frontiers)
             ],
-            "subset_cap": self.subset_cap,
             "rounds": self.rounds,
         }
 
@@ -257,91 +270,47 @@ class Leq1Relation:
         return "\n".join(lines) + "\n"
 
 
-def _decomposition_bounds(points):
-    """For each point, the least grid level below which it splits as a sum.
-
-    That is the least max(rank a, rank b) over nonzero grid points a, b with
-    a + b = p, or None.  Write p in CNF as M[:i] + w^e*c + M[i+1:] with
-    (e, c) = M[i].  Then every such b is a tail w^e*x + M[i+1:] with
-    1 <= x <= c, and the a that go with it are exactly the ordinals in
-    [a0, a0 + w^e) with a0 = M[:i] + w^e*(c - x), since b absorbs the part of
-    a below w^e.  The best a is the least nonzero grid point in that interval.
-    Only the x for which b is a grid point are tried, so a large c (no
-    coeff_cap) costs no more than a small one.
-    """
-    n = len(points)
-    # grid points w^e*x + T, keyed by (e, T), in increasing x and rank
-    tails = {}
-    for j, q in enumerate(points):
-        monos = tm.monomials_of(q)
-        if monos:
-            tails.setdefault((monos[0][0], monos[1:]), []).append((monos[0][1], j))
-    best = [None] * n
-    for k, p in enumerate(points):
-        monos = tm.monomials_of(p)
-        for i, (exp, c) in enumerate(monos):
-            head = monos[:i]
-            for x, j in tails.get((exp, monos[i + 1 :]), ()):
-                if x > c or (best[k] is not None and best[k] <= j):
-                    break
-                # a0 < p, so the least nonzero point at or above a0 exists
-                lo = tm.bisect_terms(points, tm.from_monomials(head + ((exp, c - x),)))
-                if isinstance(points[lo], tm.Zero):
-                    lo += 1
-                if tm.lt(points[lo], tm.from_monomials(head + ((exp, c - x + 1),))):
-                    cut = max(lo, j)
-                    if best[k] is None or cut < best[k]:
-                        best[k] = cut
-    return best
+# removal-only rounds before leq1_fixpoint gives up; the anchor grids take 2
+MAX_ROUNDS = 64
 
 
-def leq1_fixpoint(grid: Grid, subset_cap: int = 4, max_rounds: int = 64) -> Leq1Relation:
-    if subset_cap < 2:
-        raise OrdinalError("subset_cap must be >= 2")
+def leq1_fixpoint(grid: Grid) -> Leq1Relation:
     pts = grid.points
     n = len(pts)
-    is_eps = [tm.is_epsilon(p) for p in pts]
-    doubles = [tm.mul(p, tm.nat(2)) if is_eps[i] else None for i, p in enumerate(pts)]
-    decomp = _decomposition_bounds(pts)
+    doubles = [tm.mul(p, tm.nat(2)) if tm.is_epsilon(p) else None for p in pts]
     f = [n - 1] * n
     rounds = 0
     changed = True
     while changed:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise OrdinalError("leq1 fixpoint did not converge")
         changed = False
         for i in range(n - 1, -1, -1):
-            new = _row_frontier(i, f, pts, is_eps, doubles[i], decomp)
+            new = _row_frontier(i, f, pts, doubles[i])
             if new < f[i]:
                 f[i] = new
                 changed = True
-    return Leq1Relation(grid, tuple(f), subset_cap, rounds)
+    return Leq1Relation(grid, tuple(f), rounds)
 
 
-def _row_frontier(i, f, pts, is_eps, alpha2, decomp):
-    if not is_eps[i]:
+def _row_frontier(i, f, pts, alpha2):
+    """The new frontier of row i; alpha2 is points[i]*2, or None if
+    points[i] is not an epsilon (its row is reflexive only).
+
+    Rows are swept in descending order, so a window point x (strictly
+    between alpha and alpha*2, hence no epsilon) already has f[x] = x.
+    """
+    if alpha2 is None:
         return i
     best = i
     for cand in range(i + 1, f[i] + 1):
         w_hi = cand - 1
-        if w_hi > i:
-            # every already-accepted window point must sit below alpha*2
-            if tm.compare(pts[w_hi], alpha2) is not LT:
-                break
-            # window rows other than alpha must be reflexive-only
-            if any(f[x] >= w_hi for x in range(i + 1, w_hi)):
-                break
-            # no window point may split as a sum of two lower grid points
-            if decomp[w_hi] is not None and decomp[w_hi] < i:
-                break
+        # every already-accepted window point must sit below alpha*2
+        if w_hi > i and tm.compare(pts[w_hi], alpha2) is not LT:
+            break
         # a low row's frontier may not end inside the window
-        stop = False
-        for c in range(i):
-            if i <= f[c] < w_hi:
-                stop = True
-                break
-        if stop:
+        if any(i <= f[c] < w_hi for c in range(i)):
             break
         best = cand
     return best
@@ -433,47 +402,52 @@ def _img_term(img):
     return tm.add(tm.mul(tm.Leaf(_V), mu), delta)
 
 
-def cache_path(cache_dir, grid: Grid, subset_cap: int):
-    import os
-
-    return os.path.join(cache_dir, f"leq1_{grid.digest()}_s{subset_cap}.json")
+def cache_path(cache_dir, grid: Grid):
+    return os.path.join(cache_dir, f"leq1_{grid.digest()}.json")
 
 
-def leq1_cached(grid: Grid, subset_cap: int = 4, cache_dir=None) -> Leq1Relation:
-    """Compute or reload the relation; snapshots keyed by grid digest and cap.
+def leq1_cached(grid: Grid, cache_dir=None) -> Leq1Relation:
+    """Compute or reload the relation; snapshots keyed by grid digest.
 
-    A snapshot is used only if it is JSON for this very grid and cap, with
-    one frontier i <= f_i < n per point; any other file is a miss, and the
-    relation is computed again and the file rewritten.
+    A snapshot is used only if it is JSON for this very grid, with one
+    frontier i <= f_i < n per point and prefix-transitive rows; any other
+    file is a miss, and the relation is computed again and the file
+    rewritten.  A snapshot is written to a temporary file in the cache
+    directory and then renamed, so a failed write leaves no partial file.
     """
-    import os
-
     if cache_dir is None:
-        return leq1_fixpoint(grid, subset_cap)
-    path = cache_path(cache_dir, grid, subset_cap)
+        return leq1_fixpoint(grid)
+    path = cache_path(cache_dir, grid)
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 data = json.load(fh)
         except ValueError:  # malformed JSON or text
             data = None
-        if _snapshot_fits(data, grid, subset_cap):
-            return Leq1Relation(grid, tuple(data["frontiers"]), subset_cap, data["rounds"])
-    rel = leq1_fixpoint(grid, subset_cap)
+        if _snapshot_fits(data, grid):
+            return Leq1Relation(grid, tuple(data["frontiers"]), data["rounds"])
+    rel = leq1_fixpoint(grid)
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(rel.to_json(), fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(rel.to_json(), fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return rel
 
 
-def _snapshot_fits(data, grid: Grid, subset_cap: int) -> bool:
+def _snapshot_fits(data, grid: Grid) -> bool:
     if not isinstance(data, dict) or data.get("points") != list(grid.rendered):
         return False
     f, n = data.get("frontiers"), len(grid.points)
     return (
-        data.get("subset_cap") == subset_cap
-        and type(data.get("rounds")) is int
+        type(data.get("rounds")) is int
         and isinstance(f, list)
         and len(f) == n
         and all(type(fi) is int and i <= fi < n for i, fi in enumerate(f))
+        # prefix transitivity: i <=1 j <=1 k implies i <=1 k
+        and all(f[j] <= fi for i, fi in enumerate(f) for j in range(i, fi + 1))
     )

@@ -125,7 +125,7 @@ def make_map(pairs, threshold=None, rebase=None) -> SubstMap:
         if any(src == s for s in seen):
             raise MapInvalid(f"duplicate domain leaf {src!r}")
         seen.append(src)
-    pairs.sort(key=lambda p: tm._LeafKey(p[0]))
+    pairs.sort(key=lambda p: tm.leaf_key(p[0]))
     for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
         if tm.compare_leaves(s1, s2) is not LT:
             raise MapInvalid(f"domain not strictly increasing at {s1!r}, {s2!r}")

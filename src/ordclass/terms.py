@@ -179,6 +179,10 @@ def compare_leaves(a: EpsLeaf, b: EpsLeaf) -> Ordering:
     raise OrderUndecidable(a, b)
 
 
+# sort key for leaves in compare_leaves order
+leaf_key = functools.cmp_to_key(compare_leaves)
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -402,27 +406,12 @@ def ep_set(t: OrdTerm) -> tuple[EpsLeaf, ...]:
             walk(e)
 
     walk(t)
-    found.sort(key=_LeafKey, reverse=True)
+    found.sort(key=leaf_key, reverse=True)
     return tuple(found)
 
 
-class _LeafKey:
-    """Total-order adapter so leaves can be sorted via compare_leaves."""
-
-    __slots__ = ("leaf",)
-
-    def __init__(self, leaf):
-        self.leaf = leaf
-
-    def __lt__(self, other):
-        return compare_leaves(self.leaf, other.leaf) is LT
-
-    def __eq__(self, other):
-        return self.leaf == other.leaf
-
-
 def sort_leaves(leaves, reverse=False):
-    return tuple(sorted(set(leaves), key=_LeafKey, reverse=reverse))
+    return tuple(sorted(set(leaves), key=leaf_key, reverse=reverse))
 
 
 def omega_tower(e: EpsLeaf, k: int) -> OrdTerm:

@@ -59,7 +59,7 @@ def anchor_grid():
 
 @pytest.fixture(scope="session")
 def anchor_rel(anchor_grid):
-    return leq1_fixpoint(anchor_grid, subset_cap=4)
+    return leq1_fixpoint(anchor_grid)
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +72,7 @@ def eps0_grid():
 
 @pytest.fixture(scope="session")
 def eps0_rel(eps0_grid):
-    return leq1_fixpoint(eps0_grid, subset_cap=4)
+    return leq1_fixpoint(eps0_grid)
 
 
 def seeded(seed=0):

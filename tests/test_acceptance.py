@@ -114,7 +114,7 @@ def test_criterion_3_oracle_anchors():
         ops=ANCHOR_OPS,
         cap=400,
     )
-    rel = leq1_fixpoint(grid, subset_cap=4)
+    rel = leq1_fixpoint(grid)
     elapsed = time.perf_counter() - start
     assert len(grid.points) >= 150
     anchors = 0

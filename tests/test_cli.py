@@ -77,6 +77,21 @@ def test_grid_and_oracle_verbs(tmp_path, capsys):
     assert lines[4] == "{eps(0)}"
 
 
+@pytest.mark.parametrize("j", ["0", "-1"])
+def test_classdetect_below_level_1_is_a_domain_error(tmp_path, capsys, j):
+    script = _script(tmp_path, f"grid g eps(1) eps(0)\nclassdetect g {j}\n")
+    code, out, err = run(capsys, "--script", script)
+    assert code == 1 and out == "grid g: 51 points, 2 rounds\n"
+    assert err.strip() == f"error: class level must be >= 1, got {j}"
+
+
+def test_removed_subset_cap_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--subset-cap", "4", "eval", "1"])
+    assert exc.value.code == 2
+    assert "--subset-cap" in capsys.readouterr().err
+
+
 def test_gset_astep_and_export(tmp_path, capsys):
     dot = tmp_path / "rel.dot"
     js = tmp_path / "rel.json"
@@ -90,7 +105,7 @@ def test_gset_astep_and_export(tmp_path, capsys):
     code, out, _ = run(capsys, "--script", str(script))
     assert code == 0
     data = json.loads(js.read_text())
-    assert set(data) == {"points", "frontiers", "matrix", "subset_cap", "rounds"}
+    assert set(data) == {"points", "frontiers", "matrix", "rounds"}
     code, out, _ = run(
         capsys, "--format", "dot", "--script", str(script)
     )

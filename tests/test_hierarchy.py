@@ -74,6 +74,10 @@ def test_G_degenerate_interval_matches_lim_rule(anchor_rel):
         sample = G_sample(2, alpha, t, universe, rel=rel)
         degenerate = A_degenerate(2, alpha, t, universe, rel=rel)
         assert sample.members == degenerate.members == ()
+    # the set is empty, but T below alpha is still decided: grids decide
+    # level 1 only
+    with pytest.raises(Undecidable):
+        A_degenerate(3, alpha, tm.Leaf(alpha), universe, rel=rel)
 
 
 def test_A_step_below_eta_keeps_members(anchor_rel):

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from ordclass import terms as tm
+from ordclass import oracle, terms as tm
 from ordclass.errors import GridCapExceeded, OrdinalError
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.oracle import (
     GridOps,
     build_grid,
+    cache_path,
     leq1_cached,
     leq1_fixpoint,
     slow_check_pair,
@@ -120,7 +121,7 @@ def test_class_level_of(anchor_rel):
 def test_fast_engine_matches_slow_reference():
     ops = GridOps(tower_height=1, coeff_cap=2, tail_cap=1, max_monomials=2)
     grid = build_grid(e("eps(1)*3"), seeds=[e("eps(0)")], ops=ops, cap=120)
-    rel = leq1_fixpoint(grid, 4)
+    rel = leq1_fixpoint(grid)
     n = len(grid.points)
     for i in range(n):
         for j in range(i, n):
@@ -134,15 +135,10 @@ def test_fast_engine_matches_slow_reference():
 def test_m_hat_monotone_under_extension(eps0_grid, eps0_rel):
     small_ops = GridOps(tower_height=2, coeff_cap=2, tail_cap=1, max_monomials=2)
     small = build_grid(e("eps(1)"), seeds=[e("eps(0)")], ops=small_ops, cap=400)
-    rel_small = leq1_fixpoint(small, 4)
+    rel_small = leq1_fixpoint(small)
     for p in small.points:
         if p in eps0_grid:
             assert tm.le(rel_small.m_hat(p), eps0_rel.m_hat(p))
-
-
-def test_subset_cap_validated(anchor_grid):
-    with pytest.raises(OrdinalError):
-        leq1_fixpoint(anchor_grid, 1)
 
 
 def test_json_and_dot_deterministic(anchor_rel):
@@ -158,10 +154,10 @@ def test_json_and_dot_deterministic(anchor_rel):
 def test_cache_roundtrip(tmp_path):
     ops = GridOps(tower_height=1, coeff_cap=1, tail_cap=1, max_monomials=2)
     grid = build_grid(e("eps(1)"), seeds=[e("eps(0)")], ops=ops, cap=200)
-    rel = leq1_cached(grid, 4, str(tmp_path))
+    rel = leq1_cached(grid, str(tmp_path))
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    again = leq1_cached(grid, 4, str(tmp_path))
+    again = leq1_cached(grid, str(tmp_path))
     assert again.frontiers == rel.frontiers
     assert list(tmp_path.iterdir()) == files
 
@@ -181,16 +177,45 @@ def _small_grid():
         lambda text: json.dumps({**json.loads(text), "points": json.loads(text)["points"][::-1]}),
         lambda text: json.dumps({**json.loads(text), "rounds": "2"}),
         lambda text: json.dumps([1, 2, 3]),
+        # row 0 reaches 1 and row 1 reaches 2, but row 0 does not reach 2
+        lambda text: json.dumps({**json.loads(text), "frontiers": [1, 2] + json.loads(text)["frontiers"][2:]}),
     ],
-    ids=["truncated", "garbage", "short-frontiers", "frontier-below-row", "points", "rounds", "not-an-object"],
+    ids=[
+        "truncated",
+        "garbage",
+        "short-frontiers",
+        "frontier-below-row",
+        "points",
+        "rounds",
+        "not-an-object",
+        "not-transitive",
+    ],
 )
 def test_invalid_snapshot_is_a_miss(tmp_path, spoil):
     grid = _small_grid()
-    fresh = leq1_cached(grid, 4, str(tmp_path))
+    fresh = leq1_cached(grid, str(tmp_path))
     [path] = tmp_path.iterdir()
     good = path.read_text()
     bad = spoil(good)
     path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
-    again = leq1_cached(grid, 4, str(tmp_path))
+    again = leq1_cached(grid, str(tmp_path))
     assert again.frontiers == fresh.frontiers and again.rounds == fresh.rounds
     assert path.read_text() == good  # recomputed and rewritten
+
+
+def test_failed_write_leaves_no_snapshot(tmp_path, monkeypatch):
+    grid = _small_grid()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"frontiers": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(oracle.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        leq1_cached(grid, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    rel = leq1_cached(grid, str(tmp_path))
+    [path] = tmp_path.iterdir()
+    assert str(path) == cache_path(str(tmp_path), grid)
+    assert json.loads(path.read_text()) == rel.to_json()

@@ -1,7 +1,6 @@
-"""Differential tests: the oracle's front end against the quadratic loops it
-replaced, kept here as references.
+"""Differential tests: the oracle against slow references kept here.
 
-- `reference_decomposition_bounds` tries every sum of two grid points;
+- `reference_fixpoint` iterates the literal subset-enumerating check;
 - `reference_build_grid` offers every frontier pair in both orders each round;
 - `reference_compare` enters with a structural `==`;
 - `reference_points_in` scans every grid point.
@@ -12,7 +11,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
@@ -22,31 +21,36 @@ from ordclass.oracle import (
     ANCHOR_OPS,
     Grid,
     GridOps,
-    _decomposition_bounds,
     _sorted_terms,
     build_grid,
     leq1_fixpoint,
+    slow_check_pair,
 )
 from ordclass.terms import EQ, GT, LT
 
 e = parse_ord
 
 
-def reference_decomposition_bounds(points):
-    index = {p: i for i, p in enumerate(points)}
-    best = [None] * len(points)
-    for i, a in enumerate(points):
-        if isinstance(a, tm.Zero):
-            continue
-        for j, b in enumerate(points):
-            if isinstance(b, tm.Zero):
-                continue
-            k = index.get(tm.add(a, b))
-            if k is not None:
-                cut = max(i, j)
-                if best[k] is None or cut < best[k]:
-                    best[k] = cut
-    return best
+def reference_fixpoint(grid, subset_cap, order=None):
+    """The fixpoint of `slow_check_pair` reached from the full order.
+
+    Each round sweeps the rows in `order`, by default descending as in
+    `leq1_fixpoint`, and cuts a row just before its first pair the check
+    rejects, using the cuts made so far; rounds repeat until one cuts
+    nothing.
+    """
+    n = len(grid.points)
+    f = [n - 1] * n
+    changed = True
+    while changed:
+        changed = False
+        for i in order or range(n - 1, -1, -1):
+            for j in range(i + 1, f[i] + 1):
+                if not slow_check_pair(f, grid, i, j, subset_cap):
+                    f[i] = j - 1
+                    changed = True
+                    break
+    return tuple(f)
 
 
 def reference_build_grid(bound, seeds=(), ops=None, cap=400):
@@ -151,18 +155,16 @@ def assert_front_end_matches(bound, seeds, ops, cap):
     fast = closure_outcome(build_grid, bound, seeds, ops, cap)
     slow = closure_outcome(reference_build_grid, bound, seeds, ops, cap)
     assert fast == slow
-    points = fast[1]
-    assert _decomposition_bounds(points) == reference_decomposition_bounds(points)
     return fast
 
 
 ANCHOR_SIZES = {1: 51, 2: 129, 3: 243, 4: 393}
 # sha256 prefixes of the JSON (sort_keys, indent=1) and DOT exports, joined
 ANCHOR_EXPORTS = {
-    1: "1cb8bf62b7c1c873",
-    2: "ca12d47f32f80d9b",
-    3: "6cb824afc80e9a83",
-    4: "c6d1a60cbd66d689",
+    1: "1f286bb6cf74efbf",
+    2: "6c171e747896ac8a",
+    3: "bdac9ec98e70c0b4",
+    4: "34e5c6ddd3f7b1f1",
 }
 
 
@@ -194,8 +196,6 @@ def test_tower3_grid_matches_reference(eps0_grid):
     assert reference_build_grid(eps0_grid.bound, [e("eps(0)")], ops, cap=400).points == (
         eps0_grid.points
     )
-    points = eps0_grid.points
-    assert _decomposition_bounds(points) == reference_decomposition_bounds(points)
 
 
 CAPS = st.one_of(st.none(), st.integers(1, 3))
@@ -222,6 +222,52 @@ SEEDS = ["eps(0)", "eps(1)", "eps(2)", "w*2", "eps(0)+w", "w^(w+1)"]
 @settings(max_examples=60, deadline=None)
 def test_random_grids_match_reference(ops, bound, seeds, cap):
     assert_front_end_matches(e(bound), [e(s) for s in seeds], ops, cap)
+
+
+# The reference tests about (points below alpha + subset_cap)^3 sum triples
+# for each subset of alpha's window, for each pair it checks, so its time
+# grows steeply with the grid: one closed 24-point grid took 53 s at cap 4.
+# Grids of at most 16 points take at most a few seconds each, and the draws
+# are fixed so that the test's time is too.
+FIXPOINT_GRID_CAP = 16
+
+
+@given(
+    ops_st,
+    st.sampled_from(["eps(1)", "eps(2)", "eps(3)", "eps(0)*3", "eps(1)*3", "eps(2)*3"]),
+    st.lists(st.sampled_from(["eps(0)", "eps(1)", "eps(2)"]), min_size=1, max_size=3, unique=True),
+)
+# eps(0) has no grid point in [eps(0)*2, eps(1)), so its row reaches eps(1),
+# and the low-row condition of `_row_frontier` cuts the row of eps(1)
+@example(GridOps(add=False, double=False, tower_height=0, tail_cap=2), "eps(1)*3", ["eps(0)", "eps(1)"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fixpoint_is_the_slow_checks_fixpoint(ops, bound, seeds):
+    try:
+        grid = build_grid(e(bound), [e(s) for s in seeds], ops, cap=FIXPOINT_GRID_CAP)
+    except GridCapExceeded:
+        reject()
+    fast = leq1_fixpoint(grid).frontiers
+    for subset_cap in (2, 4):
+        assert reference_fixpoint(grid, subset_cap) == fast
+
+
+def test_sweep_order_is_part_of_the_fixpoint():
+    # The check reads the current relation facts with `!=`, so it is not
+    # monotone: an ascending sweep ends at another self-consistent relation,
+    # neither contains the other, and their union is not self-consistent.
+    ops = GridOps(add=False, double=False, tower_height=0, tail_cap=2)
+    grid = build_grid(e("eps(2)"), [e("eps(0)"), e("eps(1)")], ops)
+    n = len(grid.points)
+    down = reference_fixpoint(grid, 2)
+    up = reference_fixpoint(grid, 2, order=range(n))
+    assert down == leq1_fixpoint(grid).frontiers
+    assert any(a < b for a, b in zip(down, up)) and any(a > b for a, b in zip(down, up))
+
+    def self_consistent(f):
+        return all(slow_check_pair(f, grid, i, j, 2) for i in range(n) for j in range(i, f[i] + 1))
+
+    assert self_consistent(down) and self_consistent(up)
+    assert not self_consistent([max(a, b) for a, b in zip(down, up)])
 
 
 def test_compare_matches_reference_on_random_terms():
