@@ -6,7 +6,9 @@ batch script with one command per line (# starts a comment).  Arguments are
 whitespace-separated; ordinal expressions therefore contain no spaces
 (or are quoted in script files).
 
-Exit codes: 0 success, 1 domain error, 2 parse or usage error.
+Exit codes: 0 success, 1 domain error (or a term nested too deeply to
+recurse over), 2 parse or usage error (or a file that cannot be read or
+written).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_membership, G_sample
 from .oracle import ANCHOR_OPS, Grid, Leq1Relation, build_grid, leq1_cached
-from .skeleton import ORACLE, STRUCTURAL, T_set, canonical_point, eta_compute, g_map, l_compute
+from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
 @dataclass
@@ -123,13 +125,14 @@ def _cmd_gmap(session, args):
     return json.dumps(data, sort_keys=True), data
 
 
+def _grid_arg(session, args, i):
+    """The relation of the grid named by args[i], or None if there is none."""
+    return session.grid_named(args[i])[1] if len(args) > i else None
+
+
 def _eta_like(session, args, fn):
     k, alpha, t = int(args[0]), _leaf(session, args[1]), _term(session, args[2])
-    if len(args) > 3:
-        _, rel = session.grid_named(args[3])
-        value = fn(k, alpha, t, ORACLE, rel=rel)
-    else:
-        value = fn(k, alpha, t, STRUCTURAL, ctx=session.context)
+    value = fn(k, alpha, t, ctx=session.context, rel=_grid_arg(session, args, 3))
     text = render_ord(value)
     return text, {"value": text}
 
@@ -153,11 +156,7 @@ def _cmd_lambda(session, args):
 
 def _cmd_canon(session, args):
     i, e, k = int(args[0]), _leaf(session, args[1]), int(args[2])
-    if len(args) > 3:
-        _, rel = session.grid_named(args[3])
-        data = canonical_point(None, i, e, k, ORACLE, rel=rel)
-    else:
-        data = canonical_point(session.context, i, e, k)
+    data = canonical_point(session.context, i, e, k, rel=_grid_arg(session, args, 3))
     payload = {
         "x": render_ord(data.x),
         "gamma": render_ord(data.gamma),
@@ -314,34 +313,39 @@ def main(argv=None) -> int:
         cache_dir=ns.cache_dir,
         grid_cap=ns.grid_cap,
     )
-    if ns.context:
-        session.context = ClassContext.load(ns.context)
-
-    commands = []
-    if ns.script:
-        with open(ns.script) as fh:
-            commands.extend(line.strip() for line in fh)
-    if ns.command:
-        commands.append(" ".join(ns.command))
-    if not commands:
-        parser.print_usage()
-        return 0
-
-    for command in commands:
-        if not command or command.startswith("#"):
-            continue
-        try:
+    try:
+        if ns.context:
+            session.context = ClassContext.load(ns.context)
+        commands = []
+        if ns.script:
+            with open(ns.script) as fh:
+                commands.extend(line.strip() for line in fh)
+        if ns.command:
+            commands.append(" ".join(ns.command))
+        if not commands:
+            parser.print_usage()
+            return 0
+        for command in commands:
+            if not command or command.startswith("#"):
+                continue
             text, payload = run_command(session, command)
-        except (ParseError, UndeclaredAtom) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
-        except OrdinalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if session.output_format == "json" and payload is not None:
-            print(json.dumps(payload, sort_keys=True))
-        elif text:
-            print(text)
+            if session.output_format == "json" and payload is not None:
+                print(json.dumps(payload, sort_keys=True))
+            elif text:
+                print(text)
+    except (ParseError, UndeclaredAtom) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except OrdinalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # parse, compare and render recurse once per nesting level
+        print("error: term nested too deeply", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,6 +17,7 @@ from .errors import (
     LevelViolation,
     MissingMValue,
     OrderUndecidable,
+    ParseError,
     UndeclaredAtom,
     Undecidable,
 )
@@ -219,8 +220,14 @@ class ClassContext:
 
     @classmethod
     def load(cls, path) -> "ClassContext":
+        """The context in a JSON file.  A file that is no JSON or not of
+        from_json's shape is a ParseError; a domain error in a well-formed
+        one propagates as it is."""
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ParseError(f"malformed context file {path}: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ class _Parser:
         if name == "cp":
             self.expect("(")
             i = self.int_arg()
-            self.expect_comma()
+            self.expect(",")
             k = self.int_arg()
-            self.expect_comma()
+            self.expect(",")
             base = self.sum()
             self.expect(")")
             if not isinstance(base, tm.Leaf):
@@ -140,11 +140,6 @@ class _Parser:
                 )
             return tm.Leaf(atom)
         raise ParseError(f"unknown name {name!r}", pos)
-
-    def expect_comma(self):
-        kind, val, pos = self.next()
-        if val != ",":
-            raise ParseError(f"expected ',', found {val!r}", pos)
 
     def int_arg(self):
         kind, val, pos = self.next()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import terms as tm
 from .context import chain_bound
 from .errors import Undecidable
-from .skeleton import ORACLE, T_set, eta_compute, g_map, l_compute
+from .skeleton import T_set, _require_source, eta_compute, g_map, l_compute
 from .subst import apply_subst
 from .terms import GT, LT
 
@@ -28,9 +28,10 @@ class HierarchySet:
     sample_relative: bool = True
 
 
-def _t_below(k, alpha, t, mode, ctx):
+def _t_below(k, alpha, t, ctx, rel):
     """The members of T(k, alpha, t) below alpha."""
-    if mode != ORACLE:
+    _require_source(ctx, rel)
+    if rel is None:
         return T_set(ctx, k, alpha, t).intersect_below(alpha)
     # grid T-sets are Ep-sets, which is the level-1 identity only
     if k != 1:
@@ -58,7 +59,7 @@ def leq1_query(beta: tm.EpsLeaf, v: tm.OrdTerm, *, ctx=None, rel=None):
     raise Undecidable(f"beta <=1 {v!r} has no grid value or annotation")
 
 
-def G_membership(n, alpha, t, beta, mode=ORACLE, *, ctx=None, rel=None):
+def G_membership(n, alpha, t, beta, *, ctx=None, rel=None):
     """beta in G^{n-1}(t) relative to alpha's interval; returns (bool, why)."""
     k = n - 1
     if k < 1:
@@ -66,20 +67,20 @@ def G_membership(n, alpha, t, beta, mode=ORACLE, *, ctx=None, rel=None):
     b = tm.Leaf(beta)
     if tm.compare(b, tm.Leaf(alpha)) is GT:
         return False, "beta above alpha"
-    for e in _t_below(k, alpha, t, mode, ctx):
+    for e in _t_below(k, alpha, t, ctx, rel):
         if tm.compare_leaves(e, beta) is not LT:
             return False, "T-set not contained in beta"
-    eta = eta_compute(k, alpha, t, mode, ctx=ctx, rel=rel)
+    eta = eta_compute(k, alpha, t, ctx=ctx, rel=rel)
     g = g_map(ctx, k, alpha, beta)
     v = tm.add(apply_subst(eta, g), tm.one())
     answer, why = leq1_query(beta, v, ctx=ctx, rel=rel)
     return answer, why
 
 
-def G_sample(n, alpha, t, universe, mode=ORACLE, *, ctx=None, rel=None) -> HierarchySet:
+def G_sample(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
     members = []
     for beta in universe:
-        ok, _ = G_membership(n, alpha, t, beta, mode, ctx=ctx, rel=rel)
+        ok, _ = G_membership(n, alpha, t, beta, ctx=ctx, rel=rel)
         if ok:
             members.append(beta)
     return HierarchySet("G", n, alpha, t, tuple(tm.sort_leaves(members)))
@@ -90,42 +91,42 @@ def lim_sample(members) -> tuple:
     return ()
 
 
-def A_successor_step(n, alpha, l, prev: HierarchySet, mode=ORACLE, *, ctx=None, rel=None) -> HierarchySet:
+def A_successor_step(n, alpha, l, prev: HierarchySet, *, ctx=None, rel=None) -> HierarchySet:
     """A^{n-1}(l+1) from A^{n-1}(l): unchanged below the eta fixpoint, else Lim."""
     k = n - 1
-    eta = eta_compute(k, alpha, l, mode, ctx=ctx, rel=rel)
+    eta = eta_compute(k, alpha, l, ctx=ctx, rel=rel)
     succ_t = tm.add(l, tm.one())
     if tm.compare(l, eta) is LT:
         return HierarchySet("A-successor-trace", n, alpha, succ_t, prev.members)
     return HierarchySet("A-successor-trace", n, alpha, succ_t, lim_sample(prev.members))
 
 
-def A_degenerate(n, alpha, t, universe, mode=ORACLE, *, ctx=None, rel=None) -> HierarchySet:
+def A_degenerate(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
     """A^{n-1}(t) on [alpha, chain bound]: Lim Class(n-1) above max(T below alpha).
 
     A finite sample has no limit points, so the set is empty; T below alpha
     is still computed, so a T it cannot decide fails as it would with limits.
     """
-    _t_below(n - 1, alpha, t, mode, ctx)
+    _t_below(n - 1, alpha, t, ctx, rel)
     return HierarchySet("A-successor-trace", n, alpha, t, lim_sample(universe))
 
 
-def S_interval(i, alpha, r, t, universe, mode=ORACLE, *, ctx=None, rel=None):
+def S_interval(i, alpha, r, t, universe, *, ctx=None, rel=None):
     """{q in (alpha, l(i, alpha, t)) : T(i, alpha, q) below alpha inside r}."""
-    ell = l_compute(i, alpha, t, mode, ctx=ctx, rel=rel)
+    ell = l_compute(i, alpha, t, ctx=ctx, rel=rel)
     a = tm.Leaf(alpha)
     out = []
     for q in universe:
         if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
             continue
-        if all(tm.compare_leaves(e, r) is LT for e in _t_below(i, alpha, q, mode, ctx)):
+        if all(tm.compare_leaves(e, r) is LT for e in _t_below(i, alpha, q, ctx, rel)):
             out.append(q)
     return tuple(out)
 
 
-def S_interval_via_domain(i, alpha, r, t, universe, mode=ORACLE, *, ctx=None, rel=None):
+def S_interval_via_domain(i, alpha, r, t, universe, *, ctx=None, rel=None):
     """The Remark's second reading: q with Ep(q) inside Dom g(i, alpha, r)."""
-    ell = l_compute(i, alpha, t, mode, ctx=ctx, rel=rel)
+    ell = l_compute(i, alpha, t, ctx=ctx, rel=rel)
     a = tm.Leaf(alpha)
     g = g_map(ctx, i, alpha, r)
     out = []
@@ -153,7 +154,7 @@ class Transport:
     def H_of(self, s: tm.OrdTerm) -> tm.OrdTerm:
         return apply_subst(s, self.backward)
 
-    def M_set(self, universe, *, ctx=None, rel=None, mode=ORACLE):
+    def M_set(self, universe, *, ctx=None, rel=None):
         """{q in [kappa, kappa(+^k)) : T(k, kappa, q) below kappa inside r}."""
         lo = tm.Leaf(self.kappa)
         hi = tm.Leaf(tm.mk_succ(self.kappa, self.k))
@@ -161,7 +162,7 @@ class Transport:
         for q in universe:
             if tm.compare(q, lo) is LT or tm.compare(q, hi) is not LT:
                 continue
-            tcap = _t_below(self.k, self.kappa, q, mode, ctx)
+            tcap = _t_below(self.k, self.kappa, q, ctx, rel)
             if all(tm.compare_leaves(e, self.r) is LT for e in tcap):
                 out.append(q)
         return tuple(out)

@@ -238,34 +238,41 @@ class Leq1Relation:
 
     # -- exports ---------------------------------------------------------------
 
-    def to_json(self):
-        n = len(self.grid.points)
+    def snapshot(self):
+        """What a cache snapshot stores: the points, frontiers and rounds."""
         return {
             "points": list(self.grid.rendered),
             "frontiers": list(self.frontiers),
-            "matrix": [
-                "0" * i + "1" * (fi - i + 1) + "0" * (n - fi - 1)
-                for i, fi in enumerate(self.frontiers)
-            ],
             "rounds": self.rounds,
         }
 
-    def strict_pairs(self):
-        for i, fi in enumerate(self.frontiers):
-            for j in range(i + 1, fi + 1):
-                yield i, j
+    def to_json(self):
+        """The export: the snapshot plus each row of the relation as a
+        0/1 matrix string."""
+        n = len(self.grid.points)
+        data = self.snapshot()
+        data["matrix"] = [
+            "0" * i + "1" * (fi - i + 1) + "0" * (n - fi - 1)
+            for i, fi in enumerate(self.frontiers)
+        ]
+        return data
 
     def to_dot(self) -> str:
-        """Covering relation of <1 as a DOT digraph."""
-        pts = self.grid.points
-        strict = {(i, j) for i, j in self.strict_pairs()}
+        """Covering relation of <1 as a DOT digraph.
+
+        i <1 j is covered unless some k strictly between them has i <1 k
+        (true, as k < j <= f_i) and k <1 j, that is f_k >= j.
+        """
+        f = self.frontiers
         lines = ["digraph leq1 {", "  rankdir=BT;"]
-        for i, p in enumerate(pts):
+        for i, p in enumerate(self.grid.points):
             lines.append(f'  n{i} [label="{render_ord(p)}"];')
-        for i, j in sorted(strict):
-            if any((i, k) in strict and (k, j) in strict for k in range(i + 1, j)):
-                continue
-            lines.append(f"  n{i} -> n{j};")
+        for i, fi in enumerate(f):
+            reach = i  # the furthest frontier of the rows strictly between i and j
+            for j in range(i + 1, fi + 1):
+                if reach < j:
+                    lines.append(f"  n{i} -> n{j};")
+                reach = max(reach, f[j])
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -298,22 +305,16 @@ def _row_frontier(i, f, pts, alpha2):
     """The new frontier of row i; alpha2 is points[i]*2, or None if
     points[i] is not an epsilon (its row is reflexive only).
 
-    Rows are swept in descending order, so a window point x (strictly
-    between alpha and alpha*2, hence no epsilon) already has f[x] = x.
+    A frontier j is at most f[i], the window of points from alpha up to
+    points[j-1] lies below alpha*2, and a low row (c < i) whose frontier
+    reaches alpha reaches j - 1 too.  Rows are swept in descending order, so
+    a window point x (strictly between alpha and alpha*2, hence no epsilon)
+    already has f[x] = x.
     """
     if alpha2 is None:
         return i
-    best = i
-    for cand in range(i + 1, f[i] + 1):
-        w_hi = cand - 1
-        # every already-accepted window point must sit below alpha*2
-        if w_hi > i and tm.compare(pts[w_hi], alpha2) is not LT:
-            break
-        # a low row's frontier may not end inside the window
-        if any(i <= f[c] < w_hi for c in range(i)):
-            break
-        best = cand
-    return best
+    low_ends = [fc for fc in f[:i] if fc >= i]
+    return min(f[i], tm.bisect_terms(pts, alpha2), 1 + min(low_ends, default=f[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,13 @@ def _eps_split(y, alpha_leaf):
 
 
 def slow_check_pair(rel_frontiers, grid, i, j, subset_cap):
-    """Literal subset-enumerating check of the pair (points[i], points[j])."""
+    """Literal subset-enumerating check of the pair (points[i], points[j]).
+
+    Sum triples whose summands are both low (below alpha) are skipped: such
+    a sum is below alpha, an epsilon, on both sides of h, which fixes low
+    points, and no point at or above alpha, nor its image, equals it, so no
+    such triple can fail.
+    """
     pts = grid.points
     alpha = pts[i]
     if not tm.is_epsilon(alpha):
@@ -366,6 +373,8 @@ def slow_check_pair(rel_frontiers, grid, i, j, subset_cap):
             members = [("low", c) for c in range(i)] + [("high", x) for x in high]
             for a_kind, a in members:
                 for b_kind, b in members:
+                    if a_kind == b_kind == "low":
+                        continue
                     s = tm.add(pts[a], pts[b])
                     sa = pts[a] if a_kind == "low" else _img_term(imgs[a])
                     sb = pts[b] if b_kind == "low" else _img_term(imgs[b])
@@ -431,7 +440,7 @@ def leq1_cached(grid: Grid, cache_dir=None) -> Leq1Relation:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(rel.to_json(), fh, sort_keys=True)
+            json.dump(rel.snapshot(), fh, sort_keys=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -1,9 +1,10 @@
 """Class(n) machinery over declared atoms (structural) and grid ordinals
 (oracle): eta/l operators, canonical sequences, T-sets, f/S-sets, g-maps.
 
-Modes are explicit and never mixed: `structural` works from the context's
-m-annotations and the derivation rules in ClassContext.m_of; `oracle` works
-from a computed grid relation and its m-hat frontier.
+m is read from one source per call, never a mix: a call given a grid
+relation (`rel=`) reads its m-hat frontier; otherwise it reads the context
+(`ctx=`), its m-annotations and the derivation rules in ClassContext.m_of.
+A call given neither raises RegimeMixed.
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ from .context import ClassContext, chain_bound, lambda_locate
 from .errors import (
     IterationCapExceeded,
     LevelViolation,
-    MissingMValue,
     RegimeMixed,
     Undecidable,
 )
 from .subst import SubstMap, apply_subst, make_map
 from .terms import EQ, GT, LT
-
-STRUCTURAL = "structural"
-ORACLE = "oracle"
 
 O_RECURSION_CAP = 16
 
@@ -43,16 +40,10 @@ def _check_interval(k, alpha, t):
         raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{k})")
 
 
-def _mode_args(mode, ctx, rel):
-    if mode == STRUCTURAL:
-        if ctx is None:
-            raise RegimeMixed("structural mode requires a context")
-        return
-    if mode == ORACLE:
-        if rel is None:
-            raise RegimeMixed("oracle mode requires a computed relation")
-        return
-    raise RegimeMixed(f"unknown mode {mode!r}")
+def _require_source(ctx, rel):
+    """A call reads m from rel if given, else from ctx; it needs one."""
+    if ctx is None and rel is None:
+        raise RegimeMixed("needs a context (ctx=) or a grid relation (rel=)")
 
 
 def _inside(r, a, t):
@@ -105,49 +96,43 @@ def _gather(ctx, k, alpha, t, keys, leaves):
     return out
 
 
-def _greatest(values):
-    """The first of the values that no later one exceeds."""
+def _m_pairs(k, alpha, t, ctx, rel):
+    """(bound, pairs): the chain bound of alpha, and None if t is at most
+    it, else the (r, m(r)) for the r in (alpha, t] whose m is known."""
+    _require_source(ctx, rel)
+    _check_interval(k, alpha, t)
+    bound = chain_bound(alpha, k)
+    if tm.compare(t, bound) is not GT:
+        return bound, None
+    if rel is None:
+        return bound, list(_structural_candidates(ctx, k, alpha, t).items())
+    rel.grid.index(t)  # t must be a grid point
+    return bound, [(r, rel.m_hat(r)) for r in rel.points_in(tm.Leaf(alpha), t)]
+
+
+def _extreme(values, side):
+    """The first of the values that no later one lies beyond on `side`
+    (GT for the greatest, LT for the least)."""
     best = None
     for v in values:
-        if best is None or tm.compare(v, best) is GT:
+        if best is None or tm.compare(v, best) is side:
             best = v
     return best
 
 
-def eta_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
+def eta_compute(k, alpha, t, *, ctx=None, rel=None):
     """max m over (alpha, t], with the degenerate chain value on the low part."""
-    _mode_args(mode, ctx, rel)
-    _check_interval(k, alpha, t)
-    bound = chain_bound(alpha, k)
-    if tm.compare(t, bound) is not GT:
-        return bound
-    if mode == ORACLE:
-        rel.m_hat(t)  # t must be a grid point
-        return _greatest(rel.m_hat(r) for r in rel.points_in(tm.Leaf(alpha), t))
-    return _greatest(_structural_candidates(ctx, k, alpha, t).values())
+    bound, pairs = _m_pairs(k, alpha, t, ctx, rel)
+    return bound if pairs is None else _extreme((m for _, m in pairs), GT)
 
 
-def l_compute(k, alpha, t, mode=STRUCTURAL, *, ctx=None, rel=None):
+def l_compute(k, alpha, t, *, ctx=None, rel=None):
     """Least r in (alpha, t] whose m realizes the eta maximum."""
-    _mode_args(mode, ctx, rel)
-    _check_interval(k, alpha, t)
-    bound = chain_bound(alpha, k)
-    if tm.compare(t, bound) is not GT:
+    bound, pairs = _m_pairs(k, alpha, t, ctx, rel)
+    if pairs is None:
         return bound
-    if mode == ORACLE:
-        eta = eta_compute(k, alpha, t, mode, ctx=ctx, rel=rel)
-        for r in rel.points_in(tm.Leaf(alpha), t):
-            if tm.compare(rel.m_hat(r), eta) is EQ:
-                return r
-        raise AssertionError("eta maximum vanished")
-    candidates = _structural_candidates(ctx, k, alpha, t)
-    eta = _greatest(candidates.values())
-    hits = [r for r, m in candidates.items() if tm.compare(m, eta) is EQ]
-    best = hits[0]
-    for r in hits[1:]:
-        if tm.compare(r, best) is LT:
-            best = r
-    return best
+    eta = _extreme((m for _, m in pairs), GT)
+    return _extreme((r for r, m in pairs if tm.compare(m, eta) is EQ), LT)
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +151,23 @@ def _symbolic_gamma(e: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     return tm.add(tm.omega_tower(e, k), tm.omega_tower(e, k - 1))
 
 
-def canonical_point(ctx, i, e, k, mode=STRUCTURAL, *, rel=None) -> CanonicalData:
+def canonical_point(ctx, i, e, k, *, rel=None) -> CanonicalData:
     """The paper-indexed point x_k(i, e) and its reach gamma_k(i, e)."""
-    _mode_args(mode, ctx if mode == STRUCTURAL else None, rel)
+    _require_source(ctx, rel)
     if i < 1 or k < 1:
         raise LevelViolation("canonical sequence needs i >= 1 and k >= 1")
     if tm.leaf_level(e) < i:
         raise LevelViolation(f"{e!r} has level below {i}")
     if i == 1:
         x = tm.omega_tower(e, k)
-        if mode == ORACLE:
+        if rel is not None:
             gamma = rel.m_hat(x)
         else:
             gamma = _symbolic_gamma(e, k)
             ctx.set_m(x, gamma)
         return CanonicalData(x, gamma, (e,))
-    if mode == ORACLE:
-        raise RegimeMixed("oracle mode only carries level-1 canonical data")
+    if rel is not None:
+        raise RegimeMixed("a grid relation only carries level-1 canonical data")
     # o_{i-1} = x_k(i, e), o_{j-1} = x_k(j, o_j); gamma = m(o_1)
     chain = [e]
     cur = e
@@ -219,10 +204,6 @@ class TSet:
 @dataclass(frozen=True)
 class FSet:
     elements: tuple[tm.EpsLeaf, ...]  # sigma_1 > ... > sigma_q
-
-
-def _exact_level(e: tm.EpsLeaf, k: int) -> bool:
-    return tm.leaf_level(e) == k
 
 
 def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm) -> TSet:

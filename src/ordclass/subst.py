@@ -26,8 +26,6 @@ class MapOrder(Enum):
     EQ = "EQ"
     LT = "LT"
     GT = "GT"
-    LE = "LE"
-    GE = "GE"
     INCOMPARABLE = "INCOMPARABLE"
 
 
@@ -256,10 +254,6 @@ def compare_maps(f: SubstMap, g: SubstMap) -> MapOrder:
     if saw_gt:
         return MapOrder.GT
     return MapOrder.EQ
-
-
-def map_leq(order: MapOrder) -> bool:
-    return order in (MapOrder.EQ, MapOrder.LT, MapOrder.LE)
 
 
 def map_from_json(data, atoms=None) -> SubstMap:

@@ -15,7 +15,6 @@ from ordclass.grammar import parse_ord, render_ord
 from ordclass.hierarchy import A_degenerate, A_successor_step, G_sample
 from ordclass.oracle import build_grid, leq1_fixpoint
 from ordclass.skeleton import (
-    ORACLE,
     T_set,
     canonical_point,
     eta_compute,
@@ -148,10 +147,10 @@ def test_criterion_4_eta_l_coherence(eps0_grid, eps0_rel):
     for t in rel.grid.points:
         if not (tm.lt(lo, t) and tm.lt(t, rel.grid.points[-1])):
             continue
-        eta = eta_compute(1, alpha, t, ORACLE, rel=rel)
-        ell = l_compute(1, alpha, t, ORACLE, rel=rel)
+        eta = eta_compute(1, alpha, t, rel=rel)
+        ell = l_compute(1, alpha, t, rel=rel)
         assert tm.eq(rel.m_hat(ell), eta)
-        assert tm.eq(eta_compute(1, alpha, eta, ORACLE, rel=rel), eta)
+        assert tm.eq(eta_compute(1, alpha, eta, rel=rel), eta)
         three_cases = (
             tm.eq(ell, lo)
             or tm.eq(ell, tm.pi_head(t))
@@ -251,7 +250,7 @@ def test_criterion_7_hierarchy_equivalence(anchor_rel):
             gside = G_sample(2, alpha, t_next, universe, rel=rel)
             assert step.members == gside.members
             instances += len(universe)
-            if tm.eq(eta_compute(1, alpha, l, ORACLE, rel=rel), l):
+            if tm.eq(eta_compute(1, alpha, l, rel=rel), l):
                 eta_fixed += len(universe)
             prev = gside
         # degenerate interval: G reduces to the sample-relative Lim rule

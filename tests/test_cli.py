@@ -143,6 +143,50 @@ def test_context_file_load(tmp_path, capsys):
     assert code == 0 and out.strip() == "A@2(+1)"
 
 
+def test_missing_files_are_usage_errors(tmp_path, capsys):
+    for flag in ("--context", "--script"):
+        code, out, err = run(capsys, flag, str(tmp_path / "absent"), "eval", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("file error: ") and "absent" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"atoms": [{"name": "A"}]}',  # no level
+        '{"atoms": [{"name": "A", "level": "three"}]}',
+        '{"atoms": [["A", 2]]}',
+        '[{"name": "A", "level": 2}]',
+        '{"m_annotations": [["eps(0)"]]}',
+        '{"m_annotations": [["eps(0", "eps(0)*2"]]}',
+        "{not json",
+    ],
+)
+def test_malformed_context_is_a_usage_error(tmp_path, capsys, body):
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(body)
+    code, out, err = run(capsys, "--context", str(ctx), "eval", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_domain_error_in_a_context_is_exit_1(tmp_path, capsys):
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(json.dumps({"atoms": [{"name": "A", "level": 0}]}))
+    code, out, err = run(capsys, "--context", str(ctx), "eval", "1")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: atom level must be >= 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "w^(" * 200 + "1" + ")" * 200], ["canon", "1", "eps(0)", "300"]]
+)
+def test_deep_nesting_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.strip() == "error: term nested too deeply"
+
+
 def test_cache_dir_reuse(tmp_path, capsys):
     cache = tmp_path / "cache"
     for _ in range(2):

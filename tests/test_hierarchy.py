@@ -3,7 +3,7 @@ import pytest
 from conftest import EPS
 from ordclass import terms as tm
 from ordclass.context import ClassContext, chain_bound
-from ordclass.errors import Undecidable
+from ordclass.errors import RegimeMixed, Undecidable
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.hierarchy import (
     A_degenerate,
@@ -17,7 +17,7 @@ from ordclass.hierarchy import (
     leq1_query,
     lim_sample,
 )
-from ordclass.skeleton import STRUCTURAL, canonical_point, eta_compute
+from ordclass.skeleton import canonical_point, eta_compute
 
 e = parse_ord
 
@@ -55,7 +55,7 @@ def test_G_beta_alpha_symbolic_all_admissible_t():
     A = ctx.declare("A", 2)
     data = canonical_point(ctx, 1, A, 2)
     for t in (tm.Leaf(A), chain_bound(A, 1), data.gamma):
-        ok, _ = G_membership(2, A, t, A, STRUCTURAL, ctx=ctx)
+        ok, _ = G_membership(2, A, t, A, ctx=ctx)
         assert ok
 
 
@@ -90,7 +90,7 @@ def test_A_step_below_eta_keeps_members(anchor_rel):
 def test_A_step_at_eta_takes_sample_lim(anchor_rel):
     alpha = e("eps(1)").leaf
     l = e("eps(1)*2+1")
-    eta = eta_compute(1, alpha, l, "oracle", rel=anchor_rel)
+    eta = eta_compute(1, alpha, l, rel=anchor_rel)
     assert tm.eq(eta, l)
     prev = HierarchySet("A-successor-trace", 2, alpha, l, (EPS[0],))
     step = A_successor_step(2, alpha, l, prev, rel=anchor_rel)
@@ -124,7 +124,7 @@ def test_G_equals_A_trace_on_grid(anchor_rel):
             gside = G_sample(2, alpha, t_next, universe, rel=rel)
             assert step.members == gside.members
             instances += len(universe)
-            if tm.eq(eta_compute(1, alpha, l, "oracle", rel=rel), l):
+            if tm.eq(eta_compute(1, alpha, l, rel=rel), l):
                 eta_fixed += 1
             prev = gside
     assert instances >= 100
@@ -141,7 +141,7 @@ def test_S_interval_remark_agreement(anchor_rel):
     assert a == b
     from ordclass.skeleton import l_compute
 
-    ell = l_compute(1, alpha, t, "oracle", rel=rel)
+    ell = l_compute(1, alpha, t, rel=rel)
     assert tm.le(ell, t)
     assert all(tm.lt(q, ell) for q in a)
     # r above the whole T-range admits the full interval sample
@@ -175,6 +175,22 @@ def test_M_transport_grid(anchor_rel):
             assert tm.compare(t1, t2) == tm.compare(s1, s2)
     m_set = tr.M_set(rel.grid.points, rel=rel)
     assert set(map(render_ord, images)) == set(map(render_ord, m_set))
+
+
+def test_hierarchy_calls_need_a_context_or_a_relation(anchor_rel):
+    alpha, t = EPS[0], e("eps(0)*2+1")
+    points = anchor_rel.grid.points
+    tr = M_transport(2, EPS[0], e("eps(1)").leaf)
+    with pytest.raises(RegimeMixed):
+        tr.M_set(points)
+    with pytest.raises(RegimeMixed):
+        G_membership(2, alpha, t, alpha)
+    with pytest.raises(RegimeMixed):
+        A_degenerate(2, alpha, tm.Leaf(alpha), ())
+    with pytest.raises(RegimeMixed):
+        S_interval(1, alpha, alpha, t, points)
+    # given both, M_set reads the grid: T below kappa is the level-1 Ep-set
+    assert tr.M_set(points, ctx=ClassContext(), rel=anchor_rel) == tr.M_set(points, rel=anchor_rel)
 
 
 def test_M_transport_symbolic():

@@ -218,4 +218,21 @@ def test_failed_write_leaves_no_snapshot(tmp_path, monkeypatch):
     rel = leq1_cached(grid, str(tmp_path))
     [path] = tmp_path.iterdir()
     assert str(path) == cache_path(str(tmp_path), grid)
-    assert json.loads(path.read_text()) == rel.to_json()
+    assert json.loads(path.read_text()) == rel.snapshot()
+
+
+def test_snapshot_has_no_matrix_and_is_a_hit(tmp_path, monkeypatch):
+    grid = _small_grid()
+    rel = leq1_cached(grid, str(tmp_path))
+    [path] = tmp_path.iterdir()
+    assert set(json.loads(path.read_text())) == {"points", "frontiers", "rounds"}
+
+    def miss(grid):
+        raise AssertionError("cache miss")
+
+    monkeypatch.setattr(oracle, "leq1_fixpoint", miss)
+    again = leq1_cached(grid, str(tmp_path))
+    assert again.frontiers == rel.frontiers and again.rounds == rel.rounds
+    # a snapshot that also holds the n^2 matrix, as older ones do, is a hit too
+    path.write_text(json.dumps(rel.to_json(), sort_keys=True))
+    assert leq1_cached(grid, str(tmp_path)).frontiers == rel.frontiers

@@ -224,12 +224,11 @@ def test_random_grids_match_reference(ops, bound, seeds, cap):
     assert_front_end_matches(e(bound), [e(s) for s in seeds], ops, cap)
 
 
-# The reference tests about (points below alpha + subset_cap)^3 sum triples
-# for each subset of alpha's window, for each pair it checks, so its time
-# grows steeply with the grid: one closed 24-point grid took 53 s at cap 4.
-# Grids of at most 16 points take at most a few seconds each, and the draws
-# are fixed so that the test's time is too.
-FIXPOINT_GRID_CAP = 16
+# For each pair it checks and each subset of alpha's window, the reference
+# tests every sum triple with a summand in the subset, so its time grows
+# steeply with the grid.  Grids of at most 24 points take at most about 2 s
+# each, and the draws are fixed so that the test's time is too.
+FIXPOINT_GRID_CAP = 24
 
 
 @given(

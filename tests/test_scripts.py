@@ -1,11 +1,16 @@
-"""Smoke tests: the scripts run end to end and write what they promise."""
+"""Smoke tests: the scripts run end to end and write what they promise, and
+the benchmark's per-layer tracer still finds the functions it names."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from ordclass import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_run_oracle_grid_writes_reports(tmp_path):
@@ -31,3 +36,27 @@ def test_run_oracle_grid_writes_reports(tmp_path):
     assert len(data["frontiers"]) == 243
     dot = (tmp_path / "leq1_covering.dot").read_text()
     assert dot.startswith("digraph leq1 {") and dot.endswith("}\n")
+
+
+def test_perfbench_tracer_records_the_named_layers(tmp_path):
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        session = cli.Session()
+        for command in (
+            "grid g eps(1) eps(0)",
+            "eta 1 eps(0) eps(0)*2+1 g",
+            "ell 1 eps(0) eps(0)*2+1 g",
+            "canon 1 eps(0) 1 g",
+            f"export g {tmp_path / 'g.json'}",
+        ):
+            cli.run_command(session, command)
+    finally:
+        tracer.uninstall()
+    spans = tracer.report()["spans"]
+    for name in ("oracle.row_sweep", "oracle.export", "skeleton.eta_compute"):
+        assert spans.get(name, {}).get("calls", 0) > 0, name
+    assert cli._VERBS["export"] is cli._cmd_export  # uninstalled

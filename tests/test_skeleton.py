@@ -6,8 +6,6 @@ from ordclass.context import ClassContext, chain_down
 from ordclass.errors import LevelViolation, MissingMValue, RegimeMixed
 from ordclass.grammar import parse_ord
 from ordclass.skeleton import (
-    ORACLE,
-    STRUCTURAL,
     T_set,
     canonical_point,
     eta_compute,
@@ -45,7 +43,7 @@ def test_eta_preconditions(ctx3):
     with pytest.raises(LevelViolation):
         eta_compute(1, EPS[0], e("eps(1)*2"), ctx=ctx3)
     with pytest.raises(RegimeMixed):
-        eta_compute(1, EPS[0], e("eps(0)*2"), mode=ORACLE)
+        eta_compute(1, EPS[0], e("eps(0)*2"))
 
 
 def test_eta_structural_needs_m(ctx3):
@@ -61,12 +59,33 @@ def test_l_cases():
 def test_eta_l_oracle(eps0_rel):
     rel = eps0_rel
     t = tm.omega_tower(EPS[0], 2)
-    eta = eta_compute(1, EPS[0], t, ORACLE, rel=rel)
+    eta = eta_compute(1, EPS[0], t, rel=rel)
     assert tm.eq(eta, rel.m_hat(t))
     # eta is its own eta
-    assert tm.eq(eta_compute(1, EPS[0], eta, ORACLE, rel=rel), eta)
-    ell = l_compute(1, EPS[0], t, ORACLE, rel=rel)
+    assert tm.eq(eta_compute(1, EPS[0], eta, rel=rel), eta)
+    ell = l_compute(1, EPS[0], t, rel=rel)
     assert tm.eq(rel.m_hat(ell), eta)
+
+
+def test_a_call_reads_the_grid_if_given_else_the_context(eps0_rel):
+    rel = eps0_rel
+    t = tm.omega_tower(EPS[0], 2)
+    for fn in (eta_compute, l_compute):
+        with pytest.raises(RegimeMixed):
+            fn(1, EPS[0], t)
+        with pytest.raises(MissingMValue):
+            fn(1, EPS[0], t, ctx=ClassContext())
+        # given both, a call reads the grid and leaves the context alone
+        ctx = ClassContext()
+        assert tm.eq(fn(1, EPS[0], t, ctx=ctx, rel=rel), fn(1, EPS[0], t, rel=rel))
+        assert not ctx.m_table
+    with pytest.raises(RegimeMixed):
+        canonical_point(None, 1, EPS[0], 2)
+    ctx = ClassContext()
+    data = canonical_point(ctx, 1, EPS[0], 2, rel=rel)
+    assert tm.eq(data.gamma, rel.m_hat(data.x)) and not ctx.m_table
+    with pytest.raises(RegimeMixed):
+        canonical_point(ctx, 2, ctx.declare("A", 2), 2, rel=rel)  # grids carry level 1 only
 
 
 def test_canonical_tower_case():
