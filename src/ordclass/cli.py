@@ -70,7 +70,10 @@ def _split(command):
 
 def run_command(session: Session, command: str):
     """Execute one command; returns (text, payload) with payload JSON-able."""
-    words = _split(command)
+    try:
+        words = _split(command)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise ParseError(f"{exc} in {command!r}") from None
     if not words:
         return "", None
     verb, args = words[0], words[1:]
@@ -294,7 +297,10 @@ _INT_ARGS = {"LEVEL", "N", "K", "J", "I"}
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="ordclass", description="ordinal class workbench"
+        prog="ordclass",
+        description="ordinal class workbench",
+        epilog="verbs:\n" + "".join(f"  {v} {a}\n" for v, a in _SIGNATURES.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--context", help="context JSON file to load")
     parser.add_argument("--script", help="batch script, one command per line")

@@ -98,6 +98,8 @@ class ClassContext:
         self.known_leaves: dict[tm.EpsLeaf, None] = {}
         self._m_index = _TermIndex()  # the keys of m_table
         self._leaf_index = _TermIndex()  # the known leaves, as terms
+        # see m_ranks; None until built, False once dropped
+        self._m_ranks = None
 
     # -- declarations -------------------------------------------------------
 
@@ -162,6 +164,31 @@ class ClassContext:
         if term not in self.m_table:
             self._m_index.add(term)
         self.m_table[term] = value
+        self._m_ranks = None
+
+    def m_ranks(self):
+        """{id(value): rank} for the values of the m-table: the ranks number
+        the distinct values in increasing order, so equal values share a
+        rank.
+
+        Keyed by identity, so that a lookup hashes no term: the table keeps
+        its value objects alive, and any other object has no rank.  Built
+        on the first call after a set_m.  None when some pair of values has
+        no decidable order; the table is then dropped until the next set_m,
+        and callers compare the values as terms.
+        """
+        if self._m_ranks is None:
+            # distinct values in first-annotation order, so that which
+            # pairs the sort compares does not depend on hashing
+            distinct = dict.fromkeys(self.m_table.values())
+            try:
+                values = sorted(distinct, key=functools.cmp_to_key(tm.compare))
+            except OrderUndecidable:
+                self._m_ranks = False
+                return None
+            rank = {v: i for i, v in enumerate(values)}
+            self._m_ranks = {id(v): rank[v] for v in self.m_table.values()}
+        return self._m_ranks if self._m_ranks is not False else None
 
     def m_keys_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
         """The m-annotated terms r with lo < r <= hi, increasing; None when

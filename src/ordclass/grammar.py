@@ -13,94 +13,145 @@ from __future__ import annotations
 import re
 
 from . import terms as tm
-from .errors import LevelViolation, ParseError, UndeclaredAtom
+from .errors import LevelViolation, OrdinalError, ParseError, UndeclaredAtom
 
-# every character that starts no token is a one-character `bad` token
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[@^*+(),])|(?P<bad>\S))"
-)
+# A token is a number, a name or an operator; whitespace before it is
+# skipped.  A character outside these classes (_BAD) starts no token.
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[@^*+(),])")
+_BAD = re.compile(r"[^\s\dA-Za-z_@^*+(),]")
+_OPS = frozenset("@^*+(),")
+_END = ""  # the token after the last one
+# Nested sums (parentheses, eps and cp arguments) the parser descends into.
+# Comparison, printing and substitution recurse once or more per level too;
+# at this depth they all stay well inside Python's recursion limit.
+MAX_NESTING = 150
 
 
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _mul(ma, mb):
+    """The monomials of terms.mul on two monomial tuples; a finite right
+    factor scales the head's coefficient without a comparison."""
+    if not ma or not mb:
+        return ()
+    if len(mb) == 1 and isinstance(mb[0][0], tm.Zero):
+        (lead, c), n = ma[0], mb[0][1]
+        return ((lead, c * n),) + ma[1:]
+    return tm.monomials_of(tm.mul(tm.from_monomials(ma), tm.from_monomials(mb)))
 
 
 class _Parser:
-    def __init__(self, text, atoms):
+    """Descent over the token strings of one text.
+
+    A sum is folded left to right on monomial tuples and built into a term
+    once; token positions are computed only for an error message.
+    """
+
+    __slots__ = ("text", "toks", "i", "atoms", "depth")
+
+    def __init__(self, text, toks, atoms):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = toks
         self.i = 0
-        self.atoms = atoms or {}
+        self.atoms = atoms
+        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, j):
+        """A ParseError at the position of token j."""
+        positions = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        positions.append(len(self.text))
+        return ParseError(message, positions[j])
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def take(self):
+        """The next token and its index."""
+        j = self.i
+        self.i = j + 1
+        return self.toks[j], j
 
     def expect(self, value):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+        tok, j = self.take()
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok!r}", j)
+
+    def number(self, message):
+        """The next token as an int; a ParseError with message if it is no
+        number."""
+        tok, j = self.take()
+        if not tok.isdecimal():
+            raise self.error(message, j)
+        return self.int_of(tok, j), j
+
+    def int_of(self, tok, j):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", j) from None
 
     def parse(self):
         t = self.sum()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
+        tok = self.toks[self.i]
+        if tok != _END:
+            raise self.error(f"trailing input {tok!r}", self.i)
         return t
 
     def sum(self):
-        t = self.product()
-        while self.peek()[1] == "+":
-            self.next()
-            t = tm.add(t, self.product())
-        return t
-
-    def product(self):
-        t = self.power()
-        while self.peek()[1] == "*":
-            self.next()
-            t = tm.mul(t, self.power())
-        return t
-
-    def power(self):
-        kind, val, pos = self.peek()
-        if kind == "name" and val == "w":
-            save = self.i
-            self.next()
-            if self.peek()[1] == "^":
-                self.next()
-                return tm.omega_pow(self.power())
-            self.i = save
-        t = self.primary()
-        if self.peek()[1] == "^":
-            raise ParseError("only w may be exponentiated", self.peek()[2])
-        return t
+        """sum := product ('+' product)*, product := power ('*' power)*,
+        power := 'w' '^' power | primary; the powers are parsed inline."""
+        if self.depth == MAX_NESTING:
+            raise OrdinalError("term nested too deeply")
+        self.depth += 1
+        toks = self.toks
+        total, product = (), None
+        while True:
+            i = start = self.i
+            while toks[i] == "w" and toks[i + 1] == "^":
+                i += 2
+            self.i = i
+            t = self.primary()
+            tok = toks[self.i]
+            if tok == "^":
+                raise self.error("only w may be exponentiated", self.i)
+            if i == start:
+                monos = tm.monomials_of(t)
+            else:
+                # w^w^x is w^(w^x)
+                for _ in range((i - start) // 2 - 1):
+                    t = tm.from_monomials(((t, 1),))
+                monos = ((t, 1),)
+            product = monos if product is None else _mul(product, monos)
+            if tok == "*":
+                self.i += 1
+                continue
+            total = tm.add_monomials(total, product)
+            if tok != "+":
+                self.depth -= 1
+                return tm.from_monomials(total)
+            self.i += 1
+            product = None
 
     def primary(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            t = tm.nat(int(val))
-        elif val == "(":
+        toks = self.toks
+        tok, j = self.take()
+        if tok == "(":
             t = self.sum()
             self.expect(")")
-        elif kind == "name":
-            t = self.named(val, pos)
+        elif tok.isdecimal():
+            t = tm.nat(self.int_of(tok, j))
+        elif tok in _OPS or tok == _END:
+            raise self.error(f"unexpected token {tok!r}", j)
         else:
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return self.postfix(t, pos)
+            t = self.named(tok, j)
+        while toks[self.i] == "(" and toks[self.i + 1] == "+":
+            self.i += 2
+            k, kj = self.number("expected a level after (+")
+            self.expect(")")
+            if not isinstance(t, tm.Leaf):
+                raise self.error("(+k) applies only to epsilon leaves", j)
+            try:
+                t = tm.Leaf(tm.mk_succ(t.leaf, k))
+            except LevelViolation as exc:
+                raise self.error(str(exc), kj) from exc
+        return t
 
-    def named(self, name, pos):
+    def named(self, name, j):
         if name == "w":
             return tm.omega()
         if name == "eps":
@@ -108,69 +159,46 @@ class _Parser:
             index = self.sum()
             self.expect(")")
             if tm.ep_set(index):
-                raise ParseError("eps index must be a concrete term", pos)
+                raise self.error("eps index must be a concrete term", j)
             return tm.Leaf(tm.ConcreteEps(index))
         if name == "cp":
             self.expect("(")
-            i = self.int_arg()
+            i = self.number("expected a number")[0]
             self.expect(",")
-            k = self.int_arg()
+            k = self.number("expected a number")[0]
             self.expect(",")
             base = self.sum()
             self.expect(")")
             if not isinstance(base, tm.Leaf):
-                raise ParseError("cp base must be an epsilon leaf", pos)
+                raise self.error("cp base must be an epsilon leaf", j)
             if i < 2:
-                raise ParseError("cp level index must be >= 2", pos)
+                raise self.error("cp level index must be >= 2", j)
             try:
                 return tm.Leaf(tm.mk_canonical(i - 1, base.leaf, k))
             except LevelViolation as exc:
-                raise ParseError(str(exc), pos) from exc
-        if self.peek()[1] == "@":
-            self.next()
-            kind, lvl, lpos = self.next()
-            if kind != "num":
-                raise ParseError("atom level must be a number", lpos)
+                raise self.error(str(exc), j) from exc
+        if self.toks[self.i] == "@":
+            self.i += 1
+            level, lj = self.number("atom level must be a number")
             atom = self.atoms.get(name)
             if atom is None:
                 raise UndeclaredAtom(name)
-            if atom.level != int(lvl):
-                raise ParseError(
-                    f"atom {name} declared at level {atom.level}, not {lvl}", lpos
+            if atom.level != level:
+                raise self.error(
+                    f"atom {name} declared at level {atom.level}, not {self.toks[lj]}", lj
                 )
             return tm.Leaf(atom)
-        raise ParseError(f"unknown name {name!r}", pos)
-
-    def int_arg(self):
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise ParseError("expected a number", pos)
-        return int(val)
-
-    def postfix(self, t, pos):
-        while self.peek()[1] == "(":
-            save = self.i
-            self.next()
-            if self.peek()[1] != "+":
-                self.i = save
-                break
-            self.next()
-            kind, val, kpos = self.next()
-            if kind != "num":
-                raise ParseError("expected a level after (+", kpos)
-            self.expect(")")
-            if not isinstance(t, tm.Leaf):
-                raise ParseError("(+k) applies only to epsilon leaves", pos)
-            try:
-                t = tm.Leaf(tm.mk_succ(t.leaf, int(val)))
-            except LevelViolation as exc:
-                raise ParseError(str(exc), kpos) from exc
-        return t
+        raise self.error(f"unknown name {name!r}", j)
 
 
 def parse_ord(text: str, atoms=None) -> tm.OrdTerm:
     """Parse an ordinal expression; atoms maps name -> ClassAtom."""
-    return _Parser(text, atoms).parse()
+    bad = _BAD.search(text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    return _Parser(text, toks, atoms or {}).parse()
 
 
 def render_leaf(e: tm.EpsLeaf) -> str:

@@ -86,19 +86,14 @@ def G_sample(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
     return HierarchySet("G", n, alpha, t, tuple(tm.sort_leaves(members)))
 
 
-def lim_sample(members) -> tuple:
-    """Limit points of a finite sample: none, by finiteness."""
-    return ()
-
-
 def A_successor_step(n, alpha, l, prev: HierarchySet, *, ctx=None, rel=None) -> HierarchySet:
-    """A^{n-1}(l+1) from A^{n-1}(l): unchanged below the eta fixpoint, else Lim."""
+    """A^{n-1}(l+1) from A^{n-1}(l): unchanged below the eta fixpoint, else
+    the limit points of A^{n-1}(l), of which a finite sample has none."""
     k = n - 1
     eta = eta_compute(k, alpha, l, ctx=ctx, rel=rel)
     succ_t = tm.add(l, tm.one())
-    if tm.compare(l, eta) is LT:
-        return HierarchySet("A-successor-trace", n, alpha, succ_t, prev.members)
-    return HierarchySet("A-successor-trace", n, alpha, succ_t, lim_sample(prev.members))
+    members = prev.members if tm.compare(l, eta) is LT else ()
+    return HierarchySet("A-successor-trace", n, alpha, succ_t, members)
 
 
 def A_degenerate(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
@@ -108,7 +103,7 @@ def A_degenerate(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
     is still computed, so a T it cannot decide fails as it would with limits.
     """
     _t_below(n - 1, alpha, t, ctx, rel)
-    return HierarchySet("A-successor-trace", n, alpha, t, lim_sample(universe))
+    return HierarchySet("A-successor-trace", n, alpha, t, ())
 
 
 def S_interval(i, alpha, r, t, universe, *, ctx=None, rel=None):

@@ -36,6 +36,7 @@ greatest one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -186,11 +187,15 @@ class Leq1Relation:
     def m_hat(self, t: tm.OrdTerm) -> tm.OrdTerm:
         return self.grid.points[self.frontiers[self.grid.index(t)]]
 
+    def span(self, lo: tm.OrdTerm, hi: tm.OrdTerm) -> range:
+        """The ranks of the grid points r with lo < r <= hi."""
+        pts = self.grid.points
+        return range(tm.bisect_terms(pts, lo, right=True), tm.bisect_terms(pts, hi, right=True))
+
     def points_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
         """Grid points r with lo < r <= hi."""
-        pts = self.grid.points
-        lo, hi = tm.bisect_terms(pts, lo, right=True), tm.bisect_terms(pts, hi, right=True)
-        return list(pts[lo:hi])
+        ranks = self.span(lo, hi)
+        return list(self.grid.points[ranks.start : ranks.stop])
 
     def boundary_suspect(self, t: tm.OrdTerm) -> bool:
         """The frontier of t runs into the grid edge."""
@@ -201,40 +206,47 @@ class Leq1Relation:
         if j < 1:
             raise LevelViolation(f"class level must be >= 1, got {j}")
         pts = self.grid.points
-        level: dict[int, list[int]] = {}
-        members = []
-        for i, p in enumerate(pts):
-            if not tm.is_epsilon(p):
-                continue
-            d = self.grid.ranks.get(tm.mul(p, tm.nat(2)))
-            if d is None:
-                continue
-            if self.frontiers[i] >= d:
-                members.append(i)
-                level[i] = [i, d]
-        for _ in range(j - 1):
-            nxt = []
-            nxt_wit = {}
-            for i in range(len(pts)):
-                for b in members:
-                    if i < b and self.frontiers[i] >= b:
-                        nxt.append(i)
-                        nxt_wit[i] = [i] + level[b]
-                        break
-            members, level = nxt, nxt_wit
-        return [
-            (pts[i], tuple(pts[w] for w in level[i])) for i in sorted(members)
-        ]
+        level = next(itertools.islice(self._chain_levels(), j - 1, None), {})
+        return [(pts[i], tuple(pts[w] for w in level[i])) for i in sorted(level)]
 
     def class_level_of(self, t: tm.OrdTerm) -> int:
-        if t not in self.grid:
+        """The largest j with t in class_detect(1), ..., class_detect(j)."""
+        i = self.grid.ranks.get(t)
+        if i is None:
             return 0
         j = 0
-        while True:
-            hits = [p for p, _ in self.class_detect(j + 1)]
-            if not any(tm.eq(p, t) for p in hits):
+        for level in self._chain_levels():
+            if i not in level:
                 return j
             j += 1
+
+    def _chain_levels(self):
+        """class_detect(1), class_detect(2), ... in one pass, each level as
+        {rank: witness ranks}, ending with the first empty level.
+
+        Level 1 holds the epsilon points whose frontier reaches their
+        double; a point is in level j + 1 if its frontier reaches a member
+        of level j above it, the least such member being its witness.  The
+        largest member of level j + 1 lies below the largest of level j, so
+        some level within n + 1 is empty and the pass is finite.
+        """
+        pts, f = self.grid.points, self.frontiers
+        level = {}
+        for i, p in enumerate(pts):
+            if tm.is_epsilon(p):
+                d = self.grid.ranks.get(tm.mul(p, tm.nat(2)))
+                if d is not None and f[i] >= d:
+                    level[i] = [i, d]
+        while level:
+            yield level
+            members = sorted(level)
+            nxt = {}
+            for i in range(len(pts)):
+                k = bisect.bisect_right(members, i)
+                if k < len(members) and members[k] <= f[i]:
+                    nxt[i] = [i] + level[members[k]]
+            level = nxt
+        yield level
 
     # -- exports ---------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from .context import ClassContext, chain_bound, lambda_locate
 from .errors import (
     IterationCapExceeded,
     LevelViolation,
+    OrderUndecidable,
     RegimeMixed,
     Undecidable,
 )
@@ -97,17 +98,41 @@ def _gather(ctx, k, alpha, t, keys, leaves):
 
 
 def _m_pairs(k, alpha, t, ctx, rel):
-    """(bound, pairs): the chain bound of alpha, and None if t is at most
-    it, else the (r, m(r)) for the r in (alpha, t] whose m is known."""
+    """(bound, triples): the chain bound of alpha, and None if t is at most
+    it, else an (r, m(r), rank) for each r in (alpha, t] whose m is known.
+
+    Ranks order m-values as integers, equal values with equal ranks: on a
+    grid the rank is the frontier index of r, in a context the rank of an
+    annotated value (ClassContext.m_ranks).  A derived m has rank None.
+    """
     _require_source(ctx, rel)
     _check_interval(k, alpha, t)
     bound = chain_bound(alpha, k)
     if tm.compare(t, bound) is not GT:
         return bound, None
     if rel is None:
-        return bound, list(_structural_candidates(ctx, k, alpha, t).items())
+        ranks = ctx.m_ranks() or {}
+        pairs = _structural_candidates(ctx, k, alpha, t).items()
+        return bound, [(r, m, ranks.get(id(m))) for r, m in pairs]
     rel.grid.index(t)  # t must be a grid point
-    return bound, [(r, rel.m_hat(r)) for r in rel.points_in(tm.Leaf(alpha), t)]
+    pts, f = rel.grid.points, rel.frontiers
+    return bound, [(pts[i], pts[f[i]], f[i]) for i in rel.span(tm.Leaf(alpha), t)]
+
+
+def _greatest(triples):
+    """The greatest m of the triples, and its rank (None if no ranked m is
+    that great).  Ranked m's are ordered by rank; an unranked m is compared
+    as a term with the greatest so far."""
+    best, top = None, -1
+    for _, m, rank in triples:
+        if rank is not None and rank > top:
+            best, top = m, rank
+    if best is None:
+        top = None
+    for _, m, rank in triples:
+        if rank is None and (best is None or tm.compare(m, best) is GT):
+            best, top = m, None
+    return best, top
 
 
 def _extreme(values, side):
@@ -121,18 +146,36 @@ def _extreme(values, side):
 
 
 def eta_compute(k, alpha, t, *, ctx=None, rel=None):
-    """max m over (alpha, t], with the degenerate chain value on the low part."""
-    bound, pairs = _m_pairs(k, alpha, t, ctx, rel)
-    return bound if pairs is None else _extreme((m for _, m in pairs), GT)
+    """max m over (alpha, t], with the degenerate chain value on the low part.
+
+    The maximum is taken on ranks where it can be.  If that meets an
+    undecidable pair, every m is compared as a term instead.
+    """
+    bound, triples = _m_pairs(k, alpha, t, ctx, rel)
+    if triples is None:
+        return bound
+    try:
+        return _greatest(triples)[0]
+    except OrderUndecidable:
+        return _extreme((m for _, m, _ in triples), GT)
 
 
 def l_compute(k, alpha, t, *, ctx=None, rel=None):
     """Least r in (alpha, t] whose m realizes the eta maximum."""
-    bound, pairs = _m_pairs(k, alpha, t, ctx, rel)
-    if pairs is None:
+    bound, triples = _m_pairs(k, alpha, t, ctx, rel)
+    if triples is None:
         return bound
-    eta = _extreme((m for _, m in pairs), GT)
-    return _extreme((r for r, m in pairs if tm.compare(m, eta) is EQ), LT)
+    try:
+        eta, top = _greatest(triples)
+        at_top = [
+            r
+            for r, m, rank in triples
+            if (rank == top if rank is not None else tm.compare(m, eta) is EQ)
+        ]
+    except OrderUndecidable:
+        eta = _extreme((m for _, m, _ in triples), GT)
+        at_top = (r for r, m, _ in triples if tm.compare(m, eta) is EQ)
+    return _extreme(at_top, LT)
 
 
 # ---------------------------------------------------------------------------

@@ -315,12 +315,29 @@ def add(a: OrdTerm, b: OrdTerm) -> OrdTerm:
         return a
     if not ma:
         return b
-    head_b = mb[0][0]
-    keep = [m for m in ma if compare(m[0], head_b) is GT]
-    merged = list(mb)
-    if len(keep) < len(ma) and eq(ma[len(keep)][0], head_b):
-        merged[0] = (head_b, ma[len(keep)][1] + mb[0][1])
-    return from_monomials(keep + merged)
+    return from_monomials(add_monomials(ma, mb))
+
+
+def add_monomials(ma, mb):
+    """The monomials of a + b from the monomials of a and b.
+
+    Every monomial of a is compared with the head of b, in order, so that
+    the sum meets OrderUndecidable wherever one of those pairs has no
+    order.  A finite head needs no comparison: every other exponent lies
+    above 0.
+    """
+    if not ma or not mb:
+        return ma or mb
+    head, coeff = mb[0]
+    if isinstance(head, Zero):
+        order = [EQ if isinstance(e, Zero) else GT for e, _ in ma]
+    else:
+        order = [compare(e, head) for e, _ in ma]
+    keep = tuple(m for m, o in zip(ma, order) if o is GT)
+    n = len(keep)
+    if n < len(ma) and order[n] is EQ:
+        mb = ((head, ma[n][1] + coeff),) + mb[1:]
+    return keep + mb
 
 
 def mul(a: OrdTerm, b: OrdTerm) -> OrdTerm:

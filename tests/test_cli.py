@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import re
 import shlex
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordclass.cli import _SHELL_SYNTAX, _split, main
+from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, _split, main
 
 
 def run(capsys, *argv):
@@ -289,3 +296,61 @@ def test_every_verb_has_a_signature():
     from ordclass.cli import _SIGNATURES, _VERBS
 
     assert set(_SIGNATURES) == set(_VERBS)
+
+
+def test_help_lists_every_verb_with_its_arguments(capsys):
+    from ordclass.cli import _SIGNATURES, _VERBS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for verb in _VERBS:
+        assert f"  {verb} {_SIGNATURES[verb]}" in lines, verb
+
+
+def test_readme_verb_table_matches_the_signatures():
+    from ordclass.cli import _SIGNATURES
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for verbs, args in re.findall(r"^\| (`[a-z0-9]+`(?:, `[a-z0-9]+`)*) \| `([^`]*)` \|", readme, re.M):
+        for verb in re.findall(r"`([a-z0-9]+)`", verbs):
+            table[verb] = args
+    assert table == _SIGNATURES
+
+
+def test_unclosed_quote_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", '"w')
+    assert code == 2 and out == ""
+    assert err.strip() == """parse error: No closing quotation in 'eval "w'"""
+
+
+_ARGV_WORDS = (
+    list(_SIGNATURES)
+    + ["--context", "--script", "--format", "--cache-dir", "--grid-cap", "--help", "-h"]
+    + ["text", "json", "dot", "g", "h", "A", "B", "0", "1", "2", "3", "-1", "x"]
+    + ["eps(0)", "eps(1)", "eps(0)*2", "eps(0)*2+1", "w^(eps(0)+1)", "A@1", "A@2", "A@1(+1)"]
+    + ["cp(2,1,A@2)", "w^", "(", ")", "'", '"', "\\", "#", "g.json", "nowhere/x.json"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ARGV_WORDS) | st.text(max_size=6), max_size=7))
+def test_random_argv_exits_0_1_or_2(argv):
+    """No argv ends in a traceback.  argparse itself ends --help and a bad
+    option with SystemExit 0 or 2; everything else returns its code."""
+    sink = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ORDCLASS_CACHE_DIR", None)
+        os.chdir(tmp)  # files the argv names are written here
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)

@@ -1,11 +1,15 @@
-"""The context's sorted indexes against the linear scans they replace.
+"""The context's sorted indexes and its rank table of m-values against the
+linear scans and term comparisons they replace.
 
-`ScanContext` never lets an index answer, so every query on it runs the
-scan that tests each m-annotation and known leaf.  Wherever that scan
+`ScanContext` never lets an index or the rank table answer, so every query
+on it runs the scan that tests each m-annotation and known leaf, and
+`eta`/`ell` compare every m-value as a term.  Wherever that reference
 returns, the indexed context must return the same answer.
 """
 
 import pytest
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import EPS
@@ -14,6 +18,8 @@ from ordclass.context import ClassContext, chain_down
 from ordclass.errors import OrderUndecidable, OrdinalError
 from ordclass.skeleton import (
     T_set,
+    _greatest,
+    _m_pairs,
     _scan_candidates,
     _structural_candidates,
     canonical_point,
@@ -23,12 +29,15 @@ from ordclass.skeleton import (
 
 
 class ScanContext(ClassContext):
-    """A context whose indexes never answer: the linear-scan reference."""
+    """A context whose indexes and rank table never answer: the reference."""
 
     def m_keys_in(self, lo, hi):
         return None
 
     def leaf_terms_in(self, lo, hi, hi_closed=True):
+        return None
+
+    def m_ranks(self):
         return None
 
 
@@ -249,3 +258,207 @@ def test_index_answers_where_the_scan_cannot():
         _scan_candidates(ctx, 1, A, t)
     assert _structural_candidates(ctx, 1, A, t) == {t: t}
     assert eta_compute(1, A, t, ctx=ctx) == t
+
+
+# ---------------------------------------------------------------------------
+# the rank table of m-values
+
+
+def _spaced_context(cls):
+    """E@2 < B@1 < D@2 < A@1 by rank.  B(+1) < D < A are decided, B(+1)
+    against A is not; nor is E(+1) against B or A, as B or A may lie
+    inside (E, E(+1))."""
+    ctx = cls()
+    for name, level in (("E", 2), ("B", 1), ("D", 2), ("A", 1)):
+        ctx.declare(name, level)
+    return ctx
+
+
+def _spaced_terms(ctx):
+    """(keys inside (E, E(+2)), values over every root)."""
+    E, B, D, A = (ctx.atom(n) for n in "EBDA")
+    e, e1 = tm.Leaf(E), tm.Leaf(tm.mk_succ(E, 1))
+    keys = [tm.mul(e, tm.nat(c)) for c in (2, 3, 4)]
+    keys += [tm.add(e, tm.one()), tm.omega_tower(E, 1), e1, tm.mul(e1, tm.nat(3))]
+    leaves = [e1, tm.Leaf(B), tm.Leaf(tm.mk_succ(B, 1)), tm.Leaf(D), tm.Leaf(A)]
+    values = [tm.mul(r, tm.nat(2)) for r in leaves] + [tm.mul(r, tm.nat(5)) for r in keys]
+    return keys, values
+
+
+@st.composite
+def _annotations(draw):
+    """(key, value) index pairs in insertion order, then query picks."""
+    sets = draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=8))
+    queries = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 50)), min_size=1, max_size=6))
+    return sets, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annotations())
+def test_ranked_eta_ell_match_the_term_loop(annotations):
+    """Random annotations over four roots: the rank table is built, dropped
+    (undecidable values) or bypassed (an unranked m undecidable against the
+    ranked maximum), and eta/ell agree with the reference wherever it
+    returns."""
+    sets, queries = annotations
+    ctx, ref = _spaced_context(ClassContext), _spaced_context(ScanContext)
+    for c in (ctx, ref):
+        c.register(tm.mk_succ(c.atom("E"), 1))
+        c.register(tm.mk_succ(c.atom("B"), 1))
+    keys, values = _spaced_terms(ctx)
+    for i, j in sets:
+        key, value = _pick(keys, i), _pick(values, j)
+        assert _outcome(ctx.set_m, key, value) == _outcome(ref.set_m, key, value)
+    E = ctx.atom("E")
+    for k, i in queries:
+        t = _pick(keys + [tm.mul(r, tm.nat(2)) for r in keys], i)
+        for fn in (eta_compute, l_compute):
+            _agree(_outcome(lambda: fn(k, E, t, ctx=ctx)), _outcome(lambda: fn(k, E, t, ctx=ref)))
+
+
+def _annotate(ctx, pairs):
+    for key, value in pairs:
+        ctx.set_m(key, value)
+
+
+def _spaced_annotations(ctx):
+    """E*2 -> B(+1)*2, E*4 -> D*2, E*3 -> A*2, in that order: the values
+    sort without B(+1)*2 meeting A*2, which no rule orders."""
+    e = tm.Leaf(ctx.atom("E"))
+    b1 = tm.Leaf(tm.mk_succ(ctx.atom("B"), 1))
+    double = lambda r: tm.mul(r, tm.nat(2))  # noqa: E731
+    return [
+        (tm.mul(e, tm.nat(2)), double(b1)),
+        (tm.mul(e, tm.nat(4)), double(tm.Leaf(ctx.atom("D")))),
+        (tm.mul(e, tm.nat(3)), double(tm.Leaf(ctx.atom("A")))),
+    ]
+
+
+def test_rank_table_is_lazy_equal_valued_and_rebuilt_after_set_m():
+    ctx = _spaced_context(ClassContext)
+    pairs = _spaced_annotations(ctx)
+    _annotate(ctx, pairs)
+    assert ctx._m_ranks is None
+    ranks = ctx.m_ranks()
+    assert [ranks[id(ctx.m_table[key])] for key, _ in pairs] == [0, 1, 2]
+    e = tm.Leaf(ctx.atom("E"))
+    equal = tm.mul(tm.Leaf(ctx.atom("D")), tm.nat(2))  # equal to a value, not it
+    assert equal == pairs[1][1] and equal is not pairs[1][1]
+    assert id(equal) not in ranks
+    ctx.set_m(tm.mul(e, tm.nat(5)), equal)
+    assert ctx._m_ranks is None
+    ranks = ctx.m_ranks()
+    assert ranks[id(equal)] == ranks[id(pairs[1][1])] == 1
+
+
+def test_rank_table_answers_where_the_term_loop_cannot():
+    """The one intended difference: on (E, E*3] the candidates' values are
+    B(+1)*2 and A*2.  Compared directly they have no order, so the
+    reference raises; the table ordered them through D*2, so the ranked
+    context answers."""
+    ctx, ref = _spaced_context(ClassContext), _spaced_context(ScanContext)
+    _annotate(ctx, _spaced_annotations(ctx))
+    _annotate(ref, _spaced_annotations(ref))
+    E = ctx.atom("E")
+    t = tm.mul(tm.Leaf(E), tm.nat(3))
+    for fn in (eta_compute, l_compute):
+        with pytest.raises(OrderUndecidable):
+            fn(1, E, t, ctx=ref)
+    assert eta_compute(1, E, t, ctx=ctx) == tm.mul(tm.Leaf(ctx.atom("A")), tm.nat(2))
+    assert l_compute(1, E, t, ctx=ctx) == t
+
+
+def test_undecidable_values_drop_the_rank_table():
+    """Inserted in this order, sorting the values compares A*2 with
+    B(+1)*2, so the table is dropped; eta/ell then compare the m's as
+    terms, as the reference does, and answer where it answers."""
+    ctx, ref = _spaced_context(ClassContext), _spaced_context(ScanContext)
+    for c in (ctx, ref):
+        pairs = _spaced_annotations(c)
+        _annotate(c, [pairs[0], pairs[2], pairs[1]])
+    assert ctx.m_ranks() is None and ctx._m_ranks is False
+    E = ctx.atom("E")
+    e = tm.Leaf(E)
+    for t in (tm.add(tm.mul(e, tm.nat(2)), tm.one()), tm.mul(e, tm.nat(3))):
+        for fn in (eta_compute, l_compute):
+            assert _outcome(lambda: fn(1, E, t, ctx=ctx)) == _outcome(lambda: fn(1, E, t, ctx=ref))
+    assert eta_compute(1, E, tm.add(tm.mul(e, tm.nat(2)), tm.one()), ctx=ctx) == _spaced_annotations(ctx)[0][1]
+    # the next set_m lets the table be tried again
+    ctx.set_m(tm.mul(e, tm.nat(4)), tm.mul(tm.Leaf(ctx.atom("D")), tm.nat(3)))
+    assert ctx._m_ranks is None
+
+
+def test_undecidable_unranked_value_reruns_the_term_loop():
+    """E@2 < D@2 < B@1 by rank.  On (E, E(+1)*3] at level 2 the chain
+    point E(+1) has the unranked m E(+1)*2, which no rule orders against
+    the ranked maximum B*2, since B may lie inside (E, E(+1)): the ranked
+    pass raises, the term loop runs, and it raises as the reference does."""
+    contexts = []
+    for cls in (ClassContext, ScanContext):
+        c = cls()
+        for name, level in (("E", 2), ("D", 2), ("B", 1)):
+            c.declare(name, level)
+        c.set_m(tm.mul(tm.Leaf(c.atom("E")), tm.nat(2)), tm.mul(tm.Leaf(c.atom("B")), tm.nat(2)))
+        contexts.append(c)
+    ctx, ref = contexts
+    E = ctx.atom("E")
+    t = tm.mul(tm.Leaf(tm.mk_succ(E, 1)), tm.nat(3))
+    assert ctx.m_ranks() is not None
+    _, triples = _m_pairs(2, E, t, ctx, None)
+    assert [rank for _, _, rank in triples] == [None, 0, None]
+    with pytest.raises(OrderUndecidable):
+        _greatest(triples)
+    for fn in (eta_compute, l_compute):
+        got = _outcome(lambda: fn(2, E, t, ctx=ctx))
+        assert got == ("raised", OrderUndecidable) == _outcome(lambda: fn(2, E, t, ctx=ref))
+
+
+# ---------------------------------------------------------------------------
+# answers do not depend on query history
+
+
+_CANON = [(name, i, k) for name in "AB" for i in (1, 2, 3) for k in (1, 2, 3)]
+
+
+def _canon_context(calls):
+    ctx = ClassContext()
+    for name in "AB":
+        ctx.declare(name, 3)
+    for name, i, k in calls:
+        canonical_point(ctx, i, ctx.atom(name), k)
+    return ctx
+
+
+def _answers(ctx):
+    """T-set, eta and ell at level 3 on every gamma_k(3, A) and gamma + 1."""
+    A = ctx.atom("A")
+    out = []
+    for k in (1, 2, 3):
+        gamma = tm.add(tm.omega_tower(tm.mk_canonical(1, tm.mk_canonical(2, A, k), k), k),
+                       tm.omega_tower(tm.mk_canonical(1, tm.mk_canonical(2, A, k), k), k - 1))
+        for t in (gamma, tm.add(gamma, tm.one())):
+            out.append(_outcome(T_set, ctx, 3, A, t))
+            out.append(_outcome(lambda: eta_compute(3, A, t, ctx=ctx)))
+            out.append(_outcome(lambda: l_compute(3, A, t, ctx=ctx)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_answers_do_not_depend_on_the_order_of_canon_calls(seed):
+    calls = list(_CANON)
+    random.Random(seed).shuffle(calls)
+    assert _answers(_canon_context(calls)) == _answers(_canon_context(_CANON))
+
+
+@pytest.mark.parametrize("cut", [3, 9, 17])
+def test_a_query_between_canon_calls_changes_no_later_answer(cut):
+    """The query builds the indexes and the rank table; the canon calls
+    after it insert into the indexes and set m-values, which must
+    invalidate the table."""
+    shared = _canon_context(_CANON[:cut])
+    assert _answers(shared) == _answers(_canon_context(_CANON[:cut]))
+    built = shared._m_ranks
+    for name, i, k in _CANON[cut:]:
+        canonical_point(shared, i, shared.atom(name), k)
+    assert built is not None and shared._m_ranks is None
+    assert _answers(shared) == _answers(_canon_context(_CANON))

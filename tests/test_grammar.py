@@ -1,13 +1,12 @@
-import re
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grammar_reference
 from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.context import ClassContext
-from ordclass.errors import ParseError, UndeclaredAtom
-from ordclass.grammar import _tokenize, parse_ord, render_ord
+from ordclass.errors import OrderUndecidable, OrdinalError, ParseError, UndeclaredAtom
+from ordclass.grammar import MAX_NESTING, parse_ord, render_ord
 
 
 def test_spec_examples():
@@ -92,42 +91,85 @@ def test_atom_roundtrip_with_context():
         assert parse_ord(render_ord(t), ctx.atoms) == t
 
 
-def _tokenize_by_loop(text):
-    """The tokenizer as a match-per-token loop: the reference for _tokenize."""
-    token = re.compile(
-        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[@^*+(),]))"
-    )
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _tokens_or_error(tokenize, text):
-    try:
-        return tokenize(text)
-    except ParseError as exc:
-        return str(exc), exc.position
-
-
 _TOKEN_TEXT = st.text(
-    alphabet=st.sampled_from(list("w^*+(),@0123456789eps_xAZ ?#!.-{}\t\n\x0b\x1c\xa0 ٣²é")),
+    alphabet=st.sampled_from(list("w^*+(),@0123456789eps_xAZ ?#!.-{}\t\n\x0b\x1c\xa0 ٣²é")),
     max_size=30,
 ) | st.text(max_size=30)
 
 
+def _level1_atoms():
+    """A and Z at level 1: A@1(+1) against Z@1 has no decidable order."""
+    ctx = ClassContext()
+    ctx.declare("A", 1)
+    ctx.declare("Z", 1)
+    return ctx.atoms
+
+
+_ATOMS = _level1_atoms()
+
+# leaves of random expressions: concrete ones, and symbolic ones some pairs
+# of which are undecidable, so that sums meet OrderUndecidable
+_LEAF_TEXT = st.sampled_from(["0", "1", "3", "w", "eps(0)", "eps(1)", "eps(w)"]) | st.sampled_from(
+    ["A@1", "Z@1", "A@1(+1)", "Z@1(+1)"]
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("w^({})".format, inner),
+        st.builds("w^{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("{}+{}".format, inner, inner),
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("{}*{}".format, inner, st.integers(0, 3)),
+        st.builds("w^({})*{}+{}".format, inner, st.integers(1, 3), inner),
+    )
+
+
+_EXPR_TEXT = st.recursive(_LEAF_TEXT, _compound, max_leaves=12)
+
+
+def _outcome(parse, text):
+    """The term, or the exception's type, message and position."""
+    try:
+        return parse(text, _ATOMS)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_TOKEN_TEXT | _EXPR_TEXT)
+def test_parser_matches_the_reference(text):
+    """The flat parser returns the reference parser's term, or raises its
+    exception with the same message and position.  (The two differ only
+    where the reference ran out of stack or int() gave up; those inputs are
+    deeper or longer than these and are pinned below.)"""
+    assert _outcome(parse_ord, text) == _outcome(grammar_reference.parse_ord, text)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_TOKEN_TEXT)
-def test_tokenize_matches_the_loop(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_tokenize_by_loop, text)
+@given(_TOKEN_TEXT | _EXPR_TEXT)
+def test_parse_raises_only_domain_errors(text):
+    try:
+        parse_ord(text, _ATOMS)
+    except OrdinalError:
+        pass
+
+
+def test_sums_meet_undecidable_pairs_in_order():
+    # A(+1)+Z compares A(+1) with Z; Z+A(+1) compares Z with A(+1)
+    for text in ("A@1(+1)+Z@1", "w^(A@1(+1))+w^(Z@1)*2", "A@1+A@1(+1)+Z@1"):
+        with pytest.raises(OrderUndecidable) as exc:
+            parse_ord(text, _ATOMS)
+        assert _outcome(parse_ord, text) == _outcome(grammar_reference.parse_ord, text)
+    assert parse_ord("A@1+Z@1", _ATOMS) == tm.Leaf(_ATOMS["Z"])
+
+
+def test_limits_are_domain_errors():
+    with pytest.raises(ParseError, match="number too long"):
+        parse_ord("1" * 5000)
+    deep = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    with pytest.raises(OrdinalError, match="term nested too deeply"):
+        parse_ord(deep)
+    shallow = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
+    assert parse_ord(shallow) == tm.nat(1)

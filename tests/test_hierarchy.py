@@ -15,7 +15,6 @@ from ordclass.hierarchy import (
     S_interval,
     S_interval_via_domain,
     leq1_query,
-    lim_sample,
 )
 from ordclass.skeleton import canonical_point, eta_compute
 
@@ -96,11 +95,6 @@ def test_A_step_at_eta_takes_sample_lim(anchor_rel):
     step = A_successor_step(2, alpha, l, prev, rel=anchor_rel)
     assert step.members == ()
     assert step.sample_relative
-
-
-def test_lim_sample_is_empty_on_finite_samples():
-    assert lim_sample((EPS[0],)) == ()
-    assert lim_sample(()) == ()
 
 
 def test_G_equals_A_trace_on_grid(anchor_rel):

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from conftest import seeded
 from ordclass import oracle, terms as tm
 from ordclass.errors import GridCapExceeded, OrdinalError
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.oracle import (
     GridOps,
+    Leq1Relation,
     build_grid,
     cache_path,
     leq1_cached,
@@ -116,6 +118,75 @@ def test_class_detect(anchor_rel):
 def test_class_level_of(anchor_rel):
     assert anchor_rel.class_level_of(e("eps(1)")) == 1
     assert anchor_rel.class_level_of(e("w")) == 0
+
+
+def _reference_class_detect(rel, j):
+    """class_detect as it was: every level rebuilt from level 1."""
+    pts = rel.grid.points
+    level = {}
+    members = []
+    for i, p in enumerate(pts):
+        if not tm.is_epsilon(p):
+            continue
+        d = rel.grid.ranks.get(tm.mul(p, tm.nat(2)))
+        if d is None:
+            continue
+        if rel.frontiers[i] >= d:
+            members.append(i)
+            level[i] = [i, d]
+    for _ in range(j - 1):
+        nxt = []
+        nxt_wit = {}
+        for i in range(len(pts)):
+            for b in members:
+                if i < b and rel.frontiers[i] >= b:
+                    nxt.append(i)
+                    nxt_wit[i] = [i] + level[b]
+                    break
+        members, level = nxt, nxt_wit
+    return [(pts[i], tuple(pts[w] for w in level[i])) for i in sorted(members)]
+
+
+def _reference_class_level_of(rel, t):
+    """class_level_of as it was: class_detect(1), (2), ... until t drops out."""
+    if t not in rel.grid:
+        return 0
+    j = 0
+    while True:
+        hits = [p for p, _ in _reference_class_detect(rel, j + 1)]
+        if not any(tm.eq(p, t) for p in hits):
+            return j
+        j += 1
+
+
+def _chained_relation(grid, seed):
+    """Prefix-transitive frontiers with long <1-chains: a relation the
+    fixpoint does not produce, so that class levels above 1 occur."""
+    rng = seeded(seed)
+    n = len(grid.points)
+    f = [0] * n
+    for i in range(n - 1, -1, -1):
+        f[i] = min(n - 1, i + rng.choice([0, 0, 1, 2, 5, 20]))
+        while f[i] < max(f[i + 1 : f[i] + 1], default=0):
+            f[i] = max(f[i + 1 : f[i] + 1])
+    return Leq1Relation(grid, tuple(f), 0)
+
+
+@pytest.fixture(scope="module")
+def eps2_grid():
+    return build_grid(e("eps(2)"), seeds=[e("eps(0)"), e("eps(1)")], ops=oracle.ANCHOR_OPS)
+
+
+# seeds whose relation on the eps(2) grid has <1-chains of 18 to 33 levels
+@pytest.mark.parametrize("seed", [None, 2, 6, 12])
+def test_class_levels_match_the_level_by_level_loop(anchor_rel, eps2_grid, seed):
+    rel = anchor_rel if seed is None else _chained_relation(eps2_grid, seed)
+    levels = [rel.class_level_of(p) for p in rel.grid.points]
+    assert levels == [_reference_class_level_of(rel, p) for p in rel.grid.points]
+    for j in range(1, max(levels) + 3):
+        assert rel.class_detect(j) == _reference_class_detect(rel, j)
+    assert rel.class_level_of(e("eps(3)")) == 0
+    assert max(levels) == 1 if seed is None else max(levels) >= 3
 
 
 def test_fast_engine_matches_slow_reference():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ordclass import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,35 @@ def test_run_oracle_grid_writes_reports(tmp_path):
     assert len(data["frontiers"]) == 243
     dot = (tmp_path / "leq1_covering.dot").read_text()
     assert dot.startswith("digraph leq1 {") and dot.endswith("}\n")
+
+
+@pytest.mark.parametrize("level, points", [(3, 4), (2, 2)])
+def test_explore_canonical_transports_every_point(level, points):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS / "explore_canonical.py"),
+            "--level",
+            str(level),
+            "--points",
+            str(points),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("chain_down(E): E@" + str(level))
+    assert [line for line in lines if line.startswith("k = ")] == [
+        f"k = {k}" for k in range(1, points + 1)
+    ]
+    agrees = [line for line in lines if "transport to F agrees" in line]
+    assert agrees == ["  transport to F agrees: True"] * points
+    # the T-set of gamma is its o-chain (criterion 5)
+    chains = [line.split("=", 1)[1] for line in lines if "o-chain" in line]
+    tsets = [line.split("=", 1)[1] for line in lines if "T-set" in line]
+    assert tsets == chains and len(chains) == points
 
 
 def test_perfbench_tracer_records_the_named_layers(tmp_path):

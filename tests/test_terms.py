@@ -192,3 +192,48 @@ def test_left_subtract_roundtrip():
         b = random_term(rng)
         if tm.le(a, b):
             assert tm.eq(tm.add(a, tm.left_subtract(a, b)), b)
+
+
+def _reference_add(a, b):
+    """terms.add as it was before it shared add_monomials with the parser."""
+    ma, mb = tm.monomials_of(a), tm.monomials_of(b)
+    if not mb:
+        return a
+    if not ma:
+        return b
+    head_b = mb[0][0]
+    keep = [m for m in ma if tm.compare(m[0], head_b) is tm.GT]
+    merged = list(mb)
+    if len(keep) < len(ma) and tm.eq(ma[len(keep)][0], head_b):
+        merged[0] = (head_b, ma[len(keep)][1] + mb[0][1])
+    return tm.from_monomials(keep + merged)
+
+
+def _symbolic_leaves():
+    """A@1 < Z@1 by rank; A@1(+1) against Z@1 has no decidable order."""
+    A, Z = tm.ClassAtom("A", 1, 0), tm.ClassAtom("Z", 1, 1)
+    return [EPS[0], EPS[1], A, Z, tm.mk_succ(A, 1), tm.mk_succ(Z, 1)]
+
+
+def _symbolic_term(seed):
+    try:
+        return random_term(seeded(seed), depth=3, leaves=_symbolic_leaves())
+    except OrderUndecidable:  # a summand met an unordered one
+        return None
+
+
+_sum_st = st.builds(_symbolic_term, st.integers(0, 10**6)).filter(lambda t: t is not None)
+
+
+def _add_outcome(add, a, b):
+    try:
+        return add(a, b)
+    except OrderUndecidable as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sum_st, _sum_st)
+def test_add_matches_the_reference(a, b):
+    """The same sum, or OrderUndecidable on the same first pair."""
+    assert _add_outcome(tm.add, a, b) == _add_outcome(_reference_add, a, b)
