@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Verbs: declare, eval, tset, gmap, eta, ell, lambda, canon, grid, leq1,
-mhat, classdetect, gset, astep, export.  One command per invocation, or a
-batch script with one command per line (# starts a comment).  Arguments are
-whitespace-separated; ordinal expressions therefore contain no spaces
-(or are quoted in script files).
+One command per invocation, or a batch script with one command per line
+(# starts a comment).  A command is a verb and its arguments, which
+`ordclass --help` lists from _SIGNATURES.  Arguments are whitespace-
+separated, so ordinal expressions contain no spaces (or are quoted in script
+files); each is read by its name in _SIGNATURES, the integers first.
 
 Exit codes: 0 success, 1 domain error (or a term nested too deeply to
-recurse over), 2 parse or usage error (or a file that cannot be read or
-written).
+recurse over, or a number too long to print), 2 parse or usage error (or a
+file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -26,23 +26,31 @@ from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_membership, G_sample
-from .oracle import ANCHOR_OPS, Grid, Leq1Relation, build_grid, leq1_cached
+from .oracle import ANCHOR_OPS, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
 @dataclass
 class Session:
     context: ClassContext = field(default_factory=ClassContext)
-    grids: dict = field(default_factory=dict)  # name -> (Grid, Leq1Relation)
+    grids: dict = field(default_factory=dict)  # name -> Leq1Relation
     output_format: str = "text"
     cache_dir: str | None = None
     grid_cap: int = 400
 
-    def grid_named(self, name):
-        try:
-            return self.grids[name]
-        except KeyError:
-            raise OrdinalError(f"no grid named {name!r}") from None
+
+# verb -> handler, and verb -> the names of its arguments, in order: [X] is
+# optional and [X...] is any number of them
+_VERBS, _SIGNATURES = {}, {}
+
+
+def _verb(signature):
+    """Register the decorated _cmd_<verb> handler under its verb."""
+    def register(handler):
+        verb = handler.__name__.removeprefix("_cmd_")
+        _VERBS[verb], _SIGNATURES[verb] = handler, signature
+        return handler
+    return register
 
 
 def _leaf(session, text):
@@ -57,6 +65,28 @@ def _term(session, text):
     return parse_ord(text, session.context.atoms)
 
 
+def _grid(session, name):
+    try:
+        return session.grids[name]
+    except KeyError:
+        raise OrdinalError(f"no grid named {name!r}") from None
+
+
+def _text(session, text):
+    return text
+
+
+# How each argument name is read into the value its handler takes: an
+# integer by int(text), any other by reader(session, text).
+_READERS = {
+    **dict.fromkeys(("LEVEL", "N", "K", "J", "I"), int),
+    **dict.fromkeys(("ALPHA", "E", "C"), _leaf),  # registered in the context
+    **dict.fromkeys(("EXPR", "T", "A", "B", "L", "BOUND", "SEED"), _term),
+    "GRID": _grid,
+    **dict.fromkeys(("NAME", "FILE"), _text),
+}
+
+
 # A line without quotes, escapes or comments, whose only whitespace is what
 # shlex splits on, splits the same under str.split, at a fraction of the cost.
 _SHELL_SYNTAX = re.compile(r"""['"\\#]|[^\S \t\r\n]""")
@@ -69,7 +99,12 @@ def _split(command):
 
 
 def run_command(session: Session, command: str):
-    """Execute one command; returns (text, payload) with payload JSON-able."""
+    """Execute one command; returns (text, payload) with payload JSON-able.
+
+    The arguments are read by their names in _SIGNATURES.  A wrong count,
+    then a non-integer where an integer is due, is a usage error (a
+    ParseError) raised before any other argument is read.
+    """
     try:
         words = _split(command)
     except ValueError as exc:  # an unclosed quote or a trailing escape
@@ -80,76 +115,69 @@ def run_command(session: Session, command: str):
     handler = _VERBS.get(verb)
     if handler is None:
         raise OrdinalError(f"unknown verb {verb!r}")
-    _check_args(verb, args)
-    return handler(session, args)
-
-
-def _check_args(verb, args):
-    """Usage errors (a ParseError) for a wrong argument count or a
-    non-integer where _SIGNATURES wants an integer."""
-    names = _SIGNATURES[verb].split()
-    required = sum(1 for a in names if not a.startswith("["))
-    variadic = names[-1].endswith("...]")
-    if len(args) < required or (len(args) > len(names) and not variadic):
-        raise ParseError(f"usage: {verb} {_SIGNATURES[verb]}")
-    for name, arg in zip(names, args):
-        if name in _INT_ARGS:
+    signature = _SIGNATURES[verb]
+    names = [w.strip("[.]") for w in signature.split()]
+    if len(args) < len(names) - signature.count("[") or (
+        len(args) > len(names) and not signature.endswith("...]")
+    ):
+        raise ParseError(f"usage: {verb} {signature}")
+    names += names[-1:] * (len(args) - len(names))  # [X...] reads the rest
+    readers = [_READERS[name] for name in names]
+    values = list(args)
+    for i, arg in enumerate(args):
+        if readers[i] is int:
             try:
-                int(arg)
+                values[i] = int(arg)
             except ValueError:
                 raise ParseError(
-                    f"{verb}: {name} must be an integer, not {arg!r}"
+                    f"{verb}: {names[i]} must be an integer, not {arg!r}"
                 ) from None
+    for i, arg in enumerate(args):
+        if readers[i] is not int:
+            values[i] = readers[i](session, arg)
+    return handler(session, *values)
 
 
-def _cmd_declare(session, args):
-    name, level = args[0], int(args[1])
+@_verb("NAME LEVEL")
+def _cmd_declare(session, name, level):
     session.context.declare(name, level)
     return f"declared {name}@{level}", {"declared": name, "level": level}
 
 
-def _cmd_eval(session, args):
-    t = _term(session, args[0])
+@_verb("EXPR")
+def _cmd_eval(session, t):
     text = render_ord(t)
     return text, {"normal_form": text}
 
 
-def _cmd_tset(session, args):
-    n, alpha, t = int(args[0]), _leaf(session, args[1]), _term(session, args[2])
+@_verb("N ALPHA T")
+def _cmd_tset(session, n, alpha, t):
     ts = T_set(session.context, n, alpha, t)
     names = [render_leaf(e) for e in ts.elements]
     return "{" + ", ".join(names) + "}", {"t_set": names}
 
 
-def _cmd_gmap(session, args):
-    n, alpha, c = int(args[0]), _leaf(session, args[1]), _leaf(session, args[2])
+@_verb("N ALPHA C")
+def _cmd_gmap(session, n, alpha, c):
     g = g_map(session.context, n, alpha, c)
     data = g.to_json()
     return json.dumps(data, sort_keys=True), data
 
 
-def _grid_arg(session, args, i):
-    """The relation of the grid named by args[i], or None if there is none."""
-    return session.grid_named(args[i])[1] if len(args) > i else None
-
-
-def _eta_like(session, args, fn):
-    k, alpha, t = int(args[0]), _leaf(session, args[1]), _term(session, args[2])
-    value = fn(k, alpha, t, ctx=session.context, rel=_grid_arg(session, args, 3))
-    text = render_ord(value)
+@_verb("K ALPHA T [GRID]")
+def _cmd_eta(session, k, alpha, t, rel=None):
+    text = render_ord(eta_compute(k, alpha, t, ctx=session.context, rel=rel))
     return text, {"value": text}
 
 
-def _cmd_eta(session, args):
-    return _eta_like(session, args, eta_compute)
+@_verb("K ALPHA T [GRID]")
+def _cmd_ell(session, k, alpha, t, rel=None):
+    text = render_ord(l_compute(k, alpha, t, ctx=session.context, rel=rel))
+    return text, {"value": text}
 
 
-def _cmd_ell(session, args):
-    return _eta_like(session, args, l_compute)
-
-
-def _cmd_lambda(session, args):
-    j, t = int(args[0]), _term(session, args[1])
+@_verb("J T")
+def _cmd_lambda(session, j, t):
     where = lambda_locate(session.context, j, t)
     if where is NEG_INFINITY:
         return "-inf", {"lambda": None}
@@ -157,9 +185,9 @@ def _cmd_lambda(session, args):
     return text, {"lambda": text}
 
 
-def _cmd_canon(session, args):
-    i, e, k = int(args[0]), _leaf(session, args[1]), int(args[2])
-    data = canonical_point(session.context, i, e, k, rel=_grid_arg(session, args, 3))
+@_verb("I E K [GRID]")
+def _cmd_canon(session, i, e, k, rel=None):
+    data = canonical_point(session.context, i, e, k, rel=rel)
     payload = {
         "x": render_ord(data.x),
         "gamma": render_ord(data.gamma),
@@ -168,36 +196,31 @@ def _cmd_canon(session, args):
     return f"x = {payload['x']}, gamma = {payload['gamma']}", payload
 
 
-def _cmd_grid(session, args):
-    name, bound = args[0], _term(session, args[1])
+@_verb("NAME BOUND [SEED...]")
+def _cmd_grid(session, name, bound, *seeds):
     if name in session.grids:
         raise OrdinalError(f"grid {name!r} already exists; snapshots are immutable")
-    seeds = [_term(session, a) for a in args[2:]]
     grid = build_grid(bound, seeds, ops=ANCHOR_OPS, cap=session.grid_cap)
-    rel = leq1_cached(grid, session.cache_dir)
-    session.grids[name] = (grid, rel)
+    session.grids[name] = rel = leq1_cached(grid, session.cache_dir)
     text = f"grid {name}: {len(grid.points)} points, {rel.rounds} rounds"
     return text, {"grid": name, "points": len(grid.points), "rounds": rel.rounds}
 
 
-def _cmd_leq1(session, args):
-    _, rel = session.grid_named(args[0])
-    a, b = _term(session, args[1]), _term(session, args[2])
+@_verb("GRID A B")
+def _cmd_leq1(session, rel, a, b):
     answer = rel.leq1(a, b)
     text = f"{'true' if answer else 'false'} (grid-relative)"
     return text, {"leq1": answer, "grid_relative": True}
 
 
-def _cmd_mhat(session, args):
-    _, rel = session.grid_named(args[0])
-    t = _term(session, args[1])
+@_verb("GRID T")
+def _cmd_mhat(session, rel, t):
     value = render_ord(rel.m_hat(t))
     return value, {"m_hat": value}
 
 
-def _cmd_classdetect(session, args):
-    _, rel = session.grid_named(args[0])
-    j = int(args[1])
+@_verb("GRID J")
+def _cmd_classdetect(session, rel, j):
     hits = rel.class_detect(j)
     payload = [
         {"point": render_ord(p), "witness": [render_ord(w) for w in chain]}
@@ -207,28 +230,21 @@ def _cmd_classdetect(session, args):
     return text, {"class_detect": payload}
 
 
-def _cmd_gset(session, args):
-    n, alpha, t = int(args[0]), _leaf(session, args[1]), _term(session, args[2])
-    _, rel = session.grid_named(args[3])
-    universe = [p.leaf for p in rel.grid.points if tm.is_epsilon(p)]
-    rows = []
-    for beta in universe:
-        try:
-            member, why = G_membership(n, alpha, t, beta, rel=rel)
-        except OrdinalError as exc:
-            member, why = None, str(exc)
-        rows.append(
-            {"beta": render_leaf(beta), "member": member, "provenance": why}
-        )
-    sample = G_sample(n, alpha, t, universe, rel=rel)
-    names = [render_leaf(b) for b in sample.members]
+@_verb("N ALPHA T GRID")
+def _cmd_gset(session, n, alpha, t, rel):
+    rows, names = [], []
+    for p in rel.grid.points:  # increasing, so the members are sorted
+        if tm.is_epsilon(p):
+            member, why = G_membership(n, alpha, t, p.leaf, rel=rel)
+            rows.append({"beta": render_leaf(p.leaf), "member": member, "provenance": why})
+            if member:
+                names.append(rows[-1]["beta"])
     payload = {"members": names, "queries": rows, "sample_relative": True}
     return "{" + ", ".join(names) + "}", payload
 
 
-def _cmd_astep(session, args):
-    n, alpha, l = int(args[0]), _leaf(session, args[1]), _term(session, args[2])
-    _, rel = session.grid_named(args[3])
+@_verb("N ALPHA L GRID")
+def _cmd_astep(session, n, alpha, l, rel):
     universe = [p.leaf for p in rel.grid.points if tm.is_epsilon(p)]
     prev = G_sample(n, alpha, l, universe, rel=rel)
     step = A_successor_step(n, alpha, l, prev, rel=rel)
@@ -241,58 +257,15 @@ def _cmd_astep(session, args):
     return "{" + ", ".join(names) + "}", payload
 
 
-def _cmd_export(session, args):
-    name, path = args[0], args[1]
-    grid, rel = session.grid_named(name)
-    if session.output_format == "dot":
-        data = rel.to_dot()
-        with open(path, "w") as fh:
-            fh.write(data)
-    else:
-        with open(path, "w") as fh:
+@_verb("GRID FILE")
+def _cmd_export(session, rel, path):
+    with open(path, "w") as fh:
+        if session.output_format == "dot":
+            fh.write(rel.to_dot())
+        else:
             json.dump(rel.to_json(), fh, sort_keys=True, indent=1)
             fh.write("\n")
     return f"wrote {path}", {"wrote": path}
-
-
-_VERBS = {
-    "declare": _cmd_declare,
-    "eval": _cmd_eval,
-    "tset": _cmd_tset,
-    "gmap": _cmd_gmap,
-    "eta": _cmd_eta,
-    "ell": _cmd_ell,
-    "lambda": _cmd_lambda,
-    "canon": _cmd_canon,
-    "grid": _cmd_grid,
-    "leq1": _cmd_leq1,
-    "mhat": _cmd_mhat,
-    "classdetect": _cmd_classdetect,
-    "gset": _cmd_gset,
-    "astep": _cmd_astep,
-    "export": _cmd_export,
-}
-
-# Arguments of each verb: [X] is optional, [X...] is any number of them;
-# the arguments named in _INT_ARGS must be integers.
-_SIGNATURES = {
-    "declare": "NAME LEVEL",
-    "eval": "EXPR",
-    "tset": "N ALPHA T",
-    "gmap": "N ALPHA C",
-    "eta": "K ALPHA T [GRID]",
-    "ell": "K ALPHA T [GRID]",
-    "lambda": "J T",
-    "canon": "I E K [GRID]",
-    "grid": "NAME BOUND [SEED...]",
-    "leq1": "GRID A B",
-    "mhat": "GRID T",
-    "classdetect": "GRID J",
-    "gset": "N ALPHA T GRID",
-    "astep": "N ALPHA L GRID",
-    "export": "GRID FILE",
-}
-_INT_ARGS = {"LEVEL", "N", "K", "J", "I"}
 
 
 def main(argv=None) -> int:

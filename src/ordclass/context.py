@@ -9,7 +9,6 @@ m-annotated terms and the known leaves bisect sorted indexes of them.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 
 from . import terms as tm
@@ -61,7 +60,7 @@ class _TermIndex:
         if self.terms is None:
             return
         try:
-            bisect.insort(self.terms, t, key=functools.cmp_to_key(tm.compare))
+            bisect.insort(self.terms, t, key=tm.term_key)
         except OrderUndecidable:
             self.terms, self.dropped = None, True
 
@@ -78,7 +77,7 @@ class _TermIndex:
             return None
         if self.terms is None:
             try:
-                self.terms = sorted(source, key=functools.cmp_to_key(tm.compare))
+                self.terms = sorted(source, key=tm.term_key)
             except OrderUndecidable:
                 self.dropped = True
                 return None
@@ -182,7 +181,7 @@ class ClassContext:
             # pairs the sort compares does not depend on hashing
             distinct = dict.fromkeys(self.m_table.values())
             try:
-                values = sorted(distinct, key=functools.cmp_to_key(tm.compare))
+                values = sorted(distinct, key=tm.term_key)
             except OrderUndecidable:
                 self._m_ranks = False
                 return None

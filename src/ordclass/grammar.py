@@ -211,27 +211,35 @@ def render_leaf(e: tm.EpsLeaf) -> str:
     return f"cp({e.level + 1},{e.k},{render_leaf(e.base)})"
 
 
+def _decimal(n: int) -> str:
+    """n in decimal; a natural can outgrow the digits str() converts."""
+    try:
+        return str(n)
+    except ValueError:
+        raise OrdinalError("number too long to print") from None
+
+
 def _render_monomial(exp: tm.OrdTerm, coeff: int) -> str:
     if isinstance(exp, tm.Zero):
-        return str(coeff)
+        return _decimal(coeff)
     if exp == tm.one():
         head = "w"
     elif isinstance(exp, tm.Leaf):
         head = render_leaf(exp.leaf)
     elif isinstance(exp, tm.NatSum):
-        head = f"w^{exp.n}"
+        head = f"w^{_decimal(exp.n)}"
     elif exp == tm.omega():
         head = "w^w"
     else:
         head = f"w^({render_ord(exp)})"
-    return head if coeff == 1 else f"{head}*{coeff}"
+    return head if coeff == 1 else f"{head}*{_decimal(coeff)}"
 
 
 def render_ord(t: tm.OrdTerm) -> str:
     if isinstance(t, tm.Zero):
         return "0"
     if isinstance(t, tm.NatSum):
-        return str(t.n)
+        return _decimal(t.n)
     if isinstance(t, tm.Leaf):
         return render_leaf(t.leaf)
     return "+".join(_render_monomial(e, c) for e, c in t.monomials)

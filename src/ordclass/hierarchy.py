@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import terms as tm
 from .context import chain_bound
-from .errors import Undecidable
+from .errors import LevelViolation, Undecidable
 from .skeleton import T_set, _require_source, eta_compute, g_map, l_compute
 from .subst import apply_subst
 from .terms import GT, LT
@@ -63,7 +63,7 @@ def G_membership(n, alpha, t, beta, *, ctx=None, rel=None):
     """beta in G^{n-1}(t) relative to alpha's interval; returns (bool, why)."""
     k = n - 1
     if k < 1:
-        raise ValueError("G-membership needs n >= 2")
+        raise LevelViolation("G-membership needs n >= 2")
     b = tm.Leaf(beta)
     if tm.compare(b, tm.Leaf(alpha)) is GT:
         return False, "beta above alpha"

@@ -24,14 +24,13 @@ iff it reaches alpha.  Below a non-epsilon point no such family exists and
 the row collapses to reflexivity, a documented under-approximation.  The
 per-pair check therefore reduces to two window conditions (`_row_frontier`).
 
-The module keeps the literal check as a slow subset-enumerating reference,
-`slow_check_pair`, which takes a bound on the number of points of B above
-alpha; the tests require the fixpoint that the same rounds reach with the
-reference to equal `leq1_fixpoint` on drawn grids.  The check reads the
-current relation facts, so it is not monotone, and the sweep order is part
-of the definition: on some grids two self-consistent relations are
-incomparable and their union is not self-consistent, so there is no
-greatest one.
+The literal check is kept as a slow subset-enumerating reference in
+`tests/oracle_reference.py`; the tests require the fixpoint that the same
+rounds reach with it to equal `leq1_fixpoint` on drawn grids.  The check
+reads the current relation facts, so it is not monotone, and the sweep
+order is part of the definition: on some grids two self-consistent
+relations are incomparable and their union is not self-consistent, so
+there is no greatest one.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 from . import terms as tm
 from .errors import GridCapExceeded, LevelViolation, OrdinalError
 from .grammar import render_ord
-from .terms import LT
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,7 @@ class Grid:
 
 
 def _sorted_terms(terms_it):
-    return tuple(
-        sorted(set(terms_it), key=functools.cmp_to_key(tm.compare))
-    )
+    return tuple(sorted(set(terms_it), key=tm.term_key))
 
 
 def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> Grid:
@@ -327,100 +323,6 @@ def _row_frontier(i, f, pts, alpha2):
         return i
     low_ends = [fc for fc in f[:i] if fc >= i]
     return min(f[i], tm.bisect_terms(pts, alpha2), 1 + min(low_ends, default=f[i]))
-
-
-# ---------------------------------------------------------------------------
-# slow reference checker (tests cross-validate the collapsed row conditions)
-
-
-def _eps_split(y, alpha_leaf):
-    """y = alpha*mu + delta with delta < alpha; returns (mu, delta)."""
-    a = tm.Leaf(alpha_leaf)
-    head = []
-    tail = []
-    for exp, coeff in tm.monomials_of(y):
-        if tm.compare(exp, a) is not LT:
-            head.append((tm.left_subtract(a, exp), coeff))
-        else:
-            tail.append((exp, coeff))
-    return tm.from_monomials(head), tm.from_monomials(tail)
-
-
-def slow_check_pair(rel_frontiers, grid, i, j, subset_cap):
-    """Literal subset-enumerating check of the pair (points[i], points[j]).
-
-    Sum triples whose summands are both low (below alpha) are skipped: such
-    a sum is below alpha, an epsilon, on both sides of h, which fixes low
-    points, and no point at or above alpha, nor its image, equals it, so no
-    such triple can fail.
-    """
-    pts = grid.points
-    alpha = pts[i]
-    if not tm.is_epsilon(alpha):
-        return j <= i
-    window = list(range(i, j))
-
-    def fact(a_idx, b_idx):
-        return b_idx <= rel_frontiers[a_idx]
-
-    def image(x_idx):
-        return _eps_split(pts[x_idx], alpha.leaf)
-
-    def image_fact(low_or_img_a, img_b):
-        # (c <1 V-form) := (c <1 alpha); V reaches exactly its own translates
-        kind_a, a = low_or_img_a
-        mu_b, delta_b = img_b
-        if kind_a == "low":
-            return fact(a, i)
-        mu_a, delta_a = a
-        if not (tm.eq(mu_a, tm.one()) and isinstance(delta_a, tm.Zero)):
-            return False
-        return tm.eq(mu_b, tm.one())
-
-    for size in range(1, subset_cap + 1):
-        for high in itertools.combinations(window, size):
-            imgs = {x: image(x) for x in high}
-            ok = True
-            # sum triples among highs and against every low, both directions
-            members = [("low", c) for c in range(i)] + [("high", x) for x in high]
-            for a_kind, a in members:
-                for b_kind, b in members:
-                    if a_kind == b_kind == "low":
-                        continue
-                    s = tm.add(pts[a], pts[b])
-                    sa = pts[a] if a_kind == "low" else _img_term(imgs[a])
-                    sb = pts[b] if b_kind == "low" else _img_term(imgs[b])
-                    mapped = tm.add(sa, sb)
-                    for c_kind, c in members:
-                        sc = pts[c] if c_kind == "low" else _img_term(imgs[c])
-                        if tm.eq(mapped, sc) != tm.eq(s, pts[c]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                return False
-            # relation facts, low->high and high->high
-            for x in high:
-                for c in range(i):
-                    if fact(c, x) != image_fact(("low", c), imgs[x]):
-                        return False
-                for y in high:
-                    if y <= x:
-                        continue
-                    if fact(x, y) != image_fact(("img", imgs[x]), imgs[y]):
-                        return False
-    return True
-
-
-_V = tm.ClassAtom("__V__", 1, 10**9)
-
-
-def _img_term(img):
-    mu, delta = img
-    return tm.add(tm.mul(tm.Leaf(_V), mu), delta)
 
 
 def cache_path(cache_dir, grid: Grid):

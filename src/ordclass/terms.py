@@ -290,11 +290,14 @@ def compare(a: OrdTerm, b: OrdTerm) -> Ordering:
     return LT if len(ma) < len(mb) else GT
 
 
+# sort key for terms in compare order
+term_key = functools.cmp_to_key(compare)
+
+
 def bisect_terms(sorted_terms, t, right=False) -> int:
     """Number of sorted terms below t, or at or below t if right."""
-    key = functools.cmp_to_key(compare)
     find = bisect.bisect_right if right else bisect.bisect_left
-    return find(sorted_terms, key(t), key=key)
+    return find(sorted_terms, term_key(t), key=term_key)
 
 
 def lt(a, b):

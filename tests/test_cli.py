@@ -11,7 +11,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, _split, main
+from ordclass import cli, hierarchy
+from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
+from ordclass.errors import OrdinalError
+from ordclass.grammar import render_leaf
 
 
 def run(capsys, *argv):
@@ -354,3 +357,101 @@ def test_random_argv_exits_0_1_or_2(argv):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("verb", ["gset", "astep"])
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_g_membership_below_level_2_is_a_domain_error(tmp_path, capsys, verb, n):
+    script = _script(tmp_path, f"grid g eps(1) eps(0)\n{verb} {n} eps(0) eps(0)*2 g\n")
+    code, out, err = run(capsys, "--script", script)
+    assert code == 1 and out == "grid g: 51 points, 2 rounds\n"
+    assert err.strip() == "error: G-membership needs n >= 2"
+
+
+def test_gset_queries_each_point_once(monkeypatch):
+    calls = []
+
+    def counted(n, alpha, t, beta, **kwargs):
+        calls.append(render_leaf(beta))
+        return membership(n, alpha, t, beta, **kwargs)
+
+    membership = hierarchy.G_membership
+    for module in (cli, hierarchy):
+        monkeypatch.setattr(module, "G_membership", counted)
+    session = Session()
+    run_command(session, "grid g eps(2) eps(0) eps(1)")
+    text, payload = run_command(session, "gset 2 eps(1) eps(1)*2 g")
+    assert calls == [row["beta"] for row in payload["queries"]] == ["eps(0)", "eps(1)"]
+    assert text == "{" + ", ".join(payload["members"]) + "}"
+
+
+def test_a_product_too_long_to_print_is_a_domain_error(capsys):
+    nines = "9" * 4000
+    code, out, err = run(capsys, "eval", f"{nines}*{nines}")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: number too long to print"
+    code, out, _ = run(capsys, "eval", nines)
+    assert code == 0 and out == nines + "\n"
+
+
+@pytest.mark.parametrize(
+    "seed, code, message",
+    [
+        ("w^(", 2, "parse error: unexpected token '' (at position 3)"),
+        ("(" * 200 + "1" + ")" * 200, 1, "error: term nested too deeply"),
+    ],
+)
+def test_grid_reads_its_seeds_before_the_name_clash(tmp_path, capsys, seed, code, message):
+    """Every argument is read before the handler runs, so a seed that cannot
+    be read wins over an existing grid name."""
+    script = _script(tmp_path, f"grid g eps(1) eps(0)\ngrid g eps(1) {seed}\n")
+    got, out, err = run(capsys, "--script", script)
+    assert got == code and out == "grid g: 51 points, 2 rounds\n"
+    assert err.strip() == message
+
+
+@pytest.fixture(scope="module")
+def grid_g():
+    session = Session()
+    run_command(session, "grid g eps(1) eps(0)")
+    return session.grids["g"]
+
+
+_ATOMS = ["eps(0)", "eps(1)", "eps(2)", "A@1", "A@2", "B@1", "A@1(+1)", "cp(2,1,A@2)"]
+_MONOMIAL = st.sampled_from(_ATOMS + ["1", "w"]).flatmap(
+    lambda a: st.sampled_from([a, f"{a}*2", f"w^({a}+1)"])
+)
+_TERM = st.lists(_MONOMIAL, min_size=1, max_size=2).map("+".join)
+_INT = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+_KINDS = {
+    **dict.fromkeys(["LEVEL", "N", "K", "J", "I"], _INT),
+    **dict.fromkeys(["ALPHA", "E", "C"], st.sampled_from(_ATOMS)),
+    **dict.fromkeys(["EXPR", "T", "A", "B", "L", "BOUND", "SEED"], _TERM),
+    "GRID": st.sampled_from(["g", "g", "h", "zz"]),  # only g exists
+    "NAME": st.sampled_from(["A", "C", "g"]),
+}
+
+
+@st.composite
+def _commands(draw):
+    verb = draw(st.sampled_from(sorted(set(_SIGNATURES) - {"grid", "export"})))
+    words = [verb]
+    for name in _SIGNATURES[verb].split():
+        if not name.startswith("[") or draw(st.booleans()):
+            words.append(draw(_KINDS[name.strip("[.]")]))
+    return " ".join(words)
+
+
+@settings(max_examples=700, deadline=None)
+@given(_commands())
+def test_random_commands_return_or_raise_domain_errors(grid_g, command):
+    """Commands of well-formed shape reach the symbolic and grid layers; any
+    failure there is an OrdinalError, which main turns into exit 1 or 2."""
+    session = Session()
+    run_command(session, "declare A 2")
+    run_command(session, "declare B 1")
+    session.grids["g"] = grid_g
+    try:
+        run_command(session, command)
+    except OrdinalError:
+        pass

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import seeded
+from oracle_reference import slow_check_pair
 from ordclass import oracle, terms as tm
 from ordclass.errors import GridCapExceeded, OrdinalError
 from ordclass.grammar import parse_ord, render_ord
@@ -13,7 +14,6 @@ from ordclass.oracle import (
     cache_path,
     leq1_cached,
     leq1_fixpoint,
-    slow_check_pair,
 )
 
 e = parse_ord

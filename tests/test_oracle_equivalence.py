@@ -1,6 +1,7 @@
-"""Differential tests: the oracle against slow references kept here.
+"""Differential tests: the oracle against slow references.
 
-- `reference_fixpoint` iterates the literal subset-enumerating check;
+- `reference_fixpoint`, from `oracle_reference.py`, iterates the literal
+  subset-enumerating check;
 - `reference_build_grid` offers every frontier pair in both orders each round;
 - `reference_compare` enters with a structural `==`;
 - `reference_points_in` scans every grid point.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import EPS, random_term, seeded
+from oracle_reference import reference_fixpoint, slow_check_pair
 from ordclass import terms as tm
 from ordclass.errors import GridCapExceeded, OrderUndecidable, OrdinalError
 from ordclass.grammar import parse_ord
@@ -24,33 +26,10 @@ from ordclass.oracle import (
     _sorted_terms,
     build_grid,
     leq1_fixpoint,
-    slow_check_pair,
 )
 from ordclass.terms import EQ, GT, LT
 
 e = parse_ord
-
-
-def reference_fixpoint(grid, subset_cap, order=None):
-    """The fixpoint of `slow_check_pair` reached from the full order.
-
-    Each round sweeps the rows in `order`, by default descending as in
-    `leq1_fixpoint`, and cuts a row just before its first pair the check
-    rejects, using the cuts made so far; rounds repeat until one cuts
-    nothing.
-    """
-    n = len(grid.points)
-    f = [n - 1] * n
-    changed = True
-    while changed:
-        changed = False
-        for i in order or range(n - 1, -1, -1):
-            for j in range(i + 1, f[i] + 1):
-                if not slow_check_pair(f, grid, i, j, subset_cap):
-                    f[i] = j - 1
-                    changed = True
-                    break
-    return tuple(f)
 
 
 def reference_build_grid(bound, seeds=(), ops=None, cap=400):
