@@ -25,7 +25,7 @@ from . import terms as tm
 from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
-from .hierarchy import A_successor_step, G_membership, G_sample
+from .hierarchy import A_successor_step, G_membership, G_sample, g_level
 from .oracle import ANCHOR_OPS, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
@@ -54,7 +54,7 @@ def _verb(signature):
 
 
 def _leaf(session, text):
-    t = parse_ord(text, session.context.atoms)
+    t = _term(session, text)
     if not isinstance(t, tm.Leaf):
         raise OrdinalError(f"{text!r} is not an epsilon leaf")
     session.context.register(t.leaf)
@@ -62,6 +62,12 @@ def _leaf(session, text):
 
 
 def _term(session, text):
+    """A point of one of the session's grids if text is its canonical text
+    (Grid.by_text), else the parsed text."""
+    for rel in session.grids.values():
+        point = rel.grid.by_text.get(text)
+        if point is not None:
+            return point
     return parse_ord(text, session.context.atoms)
 
 
@@ -201,6 +207,7 @@ def _cmd_grid(session, name, bound, *seeds):
     if name in session.grids:
         raise OrdinalError(f"grid {name!r} already exists; snapshots are immutable")
     grid = build_grid(bound, seeds, ops=ANCHOR_OPS, cap=session.grid_cap)
+    grid.by_text  # render every point now: one too long to print fails here
     session.grids[name] = rel = leq1_cached(grid, session.cache_dir)
     text = f"grid {name}: {len(grid.points)} points, {rel.rounds} rounds"
     return text, {"grid": name, "points": len(grid.points), "rounds": rel.rounds}
@@ -215,7 +222,7 @@ def _cmd_leq1(session, rel, a, b):
 
 @_verb("GRID T")
 def _cmd_mhat(session, rel, t):
-    value = render_ord(rel.m_hat(t))
+    value = rel.grid.rendered[rel.frontiers[rel.grid.index(t)]]
     return value, {"m_hat": value}
 
 
@@ -232,6 +239,7 @@ def _cmd_classdetect(session, rel, j):
 
 @_verb("N ALPHA T GRID")
 def _cmd_gset(session, n, alpha, t, rel):
+    g_level(n)  # even if the grid has no epsilon point
     rows, names = [], []
     for p in rel.grid.points:  # increasing, so the members are sorted
         if tm.is_epsilon(p):

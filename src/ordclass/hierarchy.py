@@ -59,11 +59,16 @@ def leq1_query(beta: tm.EpsLeaf, v: tm.OrdTerm, *, ctx=None, rel=None):
     raise Undecidable(f"beta <=1 {v!r} has no grid value or annotation")
 
 
+def g_level(n):
+    """The level n - 1 of G^{n-1}, which must be >= 1."""
+    if n < 2:
+        raise LevelViolation("G-membership needs n >= 2")
+    return n - 1
+
+
 def G_membership(n, alpha, t, beta, *, ctx=None, rel=None):
     """beta in G^{n-1}(t) relative to alpha's interval; returns (bool, why)."""
-    k = n - 1
-    if k < 1:
-        raise LevelViolation("G-membership needs n >= 2")
+    k = g_level(n)
     b = tm.Leaf(beta)
     if tm.compare(b, tm.Leaf(alpha)) is GT:
         return False, "beta above alpha"
@@ -78,6 +83,7 @@ def G_membership(n, alpha, t, beta, *, ctx=None, rel=None):
 
 
 def G_sample(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
+    g_level(n)  # even if the universe is empty
     members = []
     for beta in universe:
         ok, _ = G_membership(n, alpha, t, beta, ctx=ctx, rel=rel)

@@ -104,6 +104,12 @@ class Grid:
         """The points in the grammar's canonical text."""
         return tuple(render_ord(p) for p in self.points)
 
+    @functools.cached_property
+    def by_text(self) -> dict:
+        """The canonical text of each point -> the point itself.  Printed
+        terms re-parse to equal terms, so a text found here needs no parse."""
+        return dict(zip(self.rendered, self.points))
+
     def digest(self) -> str:
         payload = ";".join(self.rendered)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -185,8 +191,15 @@ class Leq1Relation:
 
     def span(self, lo: tm.OrdTerm, hi: tm.OrdTerm) -> range:
         """The ranks of the grid points r with lo < r <= hi."""
-        pts = self.grid.points
-        return range(tm.bisect_terms(pts, lo, right=True), tm.bisect_terms(pts, hi, right=True))
+        return range(self._count_upto(lo), self._count_upto(hi))
+
+    def _count_upto(self, t: tm.OrdTerm) -> int:
+        """The number of grid points <= t: read off its rank if t is a
+        point, else bisected."""
+        i = self.grid.ranks.get(t)
+        if i is None:
+            return tm.bisect_terms(self.grid.points, t, right=True)
+        return i + 1
 
     def points_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
         """Grid points r with lo < r <= hi."""
@@ -273,8 +286,8 @@ class Leq1Relation:
         """
         f = self.frontiers
         lines = ["digraph leq1 {", "  rankdir=BT;"]
-        for i, p in enumerate(self.grid.points):
-            lines.append(f'  n{i} [label="{render_ord(p)}"];')
+        for i, text in enumerate(self.grid.rendered):
+            lines.append(f'  n{i} [label="{text}"];')
         for i, fi in enumerate(f):
             reach = i  # the furthest frontier of the rows strictly between i and j
             for j in range(i + 1, fi + 1):

@@ -187,6 +187,15 @@ leaf_key = functools.cmp_to_key(compare_leaves)
 # terms
 
 
+def _digits(n: int) -> str:
+    """n in decimal, or its size past the digits str() converts: error
+    messages show terms through repr, which must not raise."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit number>"
+
+
 @dataclass(frozen=True)
 class Zero:
     def __repr__(self):
@@ -200,7 +209,7 @@ class NatSum:
     n: int
 
     def __repr__(self):
-        return str(self.n)
+        return _digits(self.n)
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,7 @@ class Cnf:
 
     def __repr__(self):
         return "+".join(
-            f"w^({e!r})*{c}" if c > 1 else f"w^({e!r})" for e, c in self.monomials
+            f"w^({e!r})*{_digits(c)}" if c > 1 else f"w^({e!r})" for e, c in self.monomials
         )
 
 

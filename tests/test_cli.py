@@ -11,10 +11,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordclass import cli, hierarchy
+from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
 from ordclass.errors import OrdinalError
-from ordclass.grammar import render_leaf
+from ordclass.grammar import parse_ord, render_leaf
 
 
 def run(capsys, *argv):
@@ -218,8 +218,6 @@ def _script(tmp_path, body):
 
 
 def test_round_trip_of_printed_terms(capsys):
-    from ordclass.grammar import parse_ord
-
     for text in ["w^w*2+w+1", "eps(0)*2+1", "w^(eps(1)+1)*3+w"]:
         code, out, _ = run(capsys, "eval", text)
         assert code == 0
@@ -362,10 +360,12 @@ def test_random_argv_exits_0_1_or_2(argv):
 @pytest.mark.parametrize("verb", ["gset", "astep"])
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_g_membership_below_level_2_is_a_domain_error(tmp_path, capsys, verb, n):
-    script = _script(tmp_path, f"grid g eps(1) eps(0)\n{verb} {n} eps(0) eps(0)*2 g\n")
-    code, out, err = run(capsys, "--script", script)
-    assert code == 1 and out == "grid g: 51 points, 2 rounds\n"
-    assert err.strip() == "error: G-membership needs n >= 2"
+    # the second grid has no epsilon point, so no row is ever queried
+    for grid, size in [("grid g eps(1) eps(0)", 51), ("grid g 5 1", 3)]:
+        script = _script(tmp_path, f"{grid}\n{verb} {n} eps(0) eps(0)*2 g\n")
+        code, out, err = run(capsys, "--script", script)
+        assert code == 1 and out == f"grid g: {size} points, 2 rounds\n"
+        assert err.strip() == "error: G-membership needs n >= 2"
 
 
 def test_gset_queries_each_point_once(monkeypatch):
@@ -394,6 +394,90 @@ def test_a_product_too_long_to_print_is_a_domain_error(capsys):
     assert code == 0 and out == nines + "\n"
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_grid_point_too_long_to_print_is_a_domain_error(tmp_path, capsys, cached):
+    """grid renders every point, with or without a cache directory."""
+    nines = "9" * 4000
+    cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+    code, out, err = run(capsys, *cache, "grid", "g", "eps(0)", f"w^({nines}*{nines})")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: number too long to print"
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        # a level violation inside an expression is a parse error, as with eps(0)(+2)
+        (
+            "eval eps({n})(+2)",
+            2,
+            "parse error: cannot apply (+^2) to a level-1 leaf eps(<26576-bit number>)"
+            " (at position 8008)",
+        ),
+        ("eta 2 eps({n}) eps(0)", 1, "error: eps(<26576-bit number>) has level 1 < 2"),
+    ],
+)
+def test_an_error_names_a_natural_too_long_to_print_by_its_size(capsys, command, code, message):
+    nines = "9" * 4000
+    got, out, err = run(capsys, *command.format(n=f"{nines}*{nines}").split())
+    assert got == code and out == ""
+    assert err.strip() == message and "Traceback" not in err
+
+
+def _outcome(session, command):
+    try:
+        return run_command(session, command)
+    except OrdinalError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "grid_command",
+    [
+        "grid g eps(1) eps(0)",
+        "grid g eps(2) eps(0) eps(1)",
+        "grid g eps(3) eps(0) eps(1) eps(2)",
+        "grid g eps(1) eps(0)+1",  # a non-principal seed; eps(0) is no point
+    ],
+)
+def test_grid_queries_answer_the_same_by_text_and_by_parse(monkeypatch, grid_command):
+    """Point arguments in their canonical text are read from Grid.by_text
+    without a parse; a spelling that misses the table (0+text) is parsed.
+    Every leq1, mhat, eta and ell on every point answers the same either way."""
+    parses = []
+
+    def counted(text, atoms=None):
+        parses.append(text)
+        return parse_ord(text, atoms)
+
+    monkeypatch.setattr(cli, "parse_ord", counted)
+    session = Session()
+    run_command(session, grid_command)
+    grid = session.grids["g"].grid
+    texts = grid.rendered
+    for text, point in zip(texts, grid.points):
+        assert cli._term(session, text) is point
+    alphas = {"eps(0)"} | {t for t, p in zip(texts, grid.points) if tm.is_epsilon(p)}
+
+    def both(template, *args):
+        parses.clear()
+        by_text = _outcome(session, template.format(*args))
+        assert parses == [a for a in args if a not in grid.by_text]
+        parses.clear()
+        by_parse = _outcome(session, template.format(*("0+" + a for a in args)))
+        assert len(parses) == len(args)
+        assert by_text == by_parse
+        return by_text
+
+    for i, text in enumerate(texts):
+        m_hat, _ = both("mhat g {}", text)
+        assert both("leq1 g {} {}", text, m_hat)[1]["leq1"] is True
+        both("leq1 g {} {}", text, texts[i - 1])
+        for alpha in sorted(alphas):
+            both("eta 1 {} {} g", alpha, text)
+            both("ell 1 {} {} g", alpha, text)
+
+
 @pytest.mark.parametrize(
     "seed, code, message",
     [
@@ -410,13 +494,13 @@ def test_grid_reads_its_seeds_before_the_name_clash(tmp_path, capsys, seed, code
     assert err.strip() == message
 
 
-@pytest.fixture(scope="module")
-def grid_g():
-    session = Session()
-    run_command(session, "grid g eps(1) eps(0)")
-    return session.grids["g"]
-
-
+_GRID_G = Session()
+run_command(_GRID_G, "grid g eps(1) eps(0)")
+# the points of g in their canonical text, read from the grid, and spellings
+# of the same points that are parsed
+_POINT = st.sampled_from(
+    [text for canonical in _GRID_G.grids["g"].grid.rendered for text in (canonical, "0+" + canonical)]
+)
 _ATOMS = ["eps(0)", "eps(1)", "eps(2)", "A@1", "A@2", "B@1", "A@1(+1)", "cp(2,1,A@2)"]
 _MONOMIAL = st.sampled_from(_ATOMS + ["1", "w"]).flatmap(
     lambda a: st.sampled_from([a, f"{a}*2", f"w^({a}+1)"])
@@ -425,8 +509,8 @@ _TERM = st.lists(_MONOMIAL, min_size=1, max_size=2).map("+".join)
 _INT = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
 _KINDS = {
     **dict.fromkeys(["LEVEL", "N", "K", "J", "I"], _INT),
-    **dict.fromkeys(["ALPHA", "E", "C"], st.sampled_from(_ATOMS)),
-    **dict.fromkeys(["EXPR", "T", "A", "B", "L", "BOUND", "SEED"], _TERM),
+    **dict.fromkeys(["ALPHA", "E", "C"], st.sampled_from(_ATOMS) | _POINT),
+    **dict.fromkeys(["EXPR", "T", "A", "B", "L", "BOUND", "SEED"], _TERM | _POINT),
     "GRID": st.sampled_from(["g", "g", "h", "zz"]),  # only g exists
     "NAME": st.sampled_from(["A", "C", "g"]),
 }
@@ -444,13 +528,13 @@ def _commands(draw):
 
 @settings(max_examples=700, deadline=None)
 @given(_commands())
-def test_random_commands_return_or_raise_domain_errors(grid_g, command):
+def test_random_commands_return_or_raise_domain_errors(command):
     """Commands of well-formed shape reach the symbolic and grid layers; any
     failure there is an OrdinalError, which main turns into exit 1 or 2."""
     session = Session()
     run_command(session, "declare A 2")
     run_command(session, "declare B 1")
-    session.grids["g"] = grid_g
+    session.grids["g"] = _GRID_G.grids["g"]
     try:
         run_command(session, command)
     except OrdinalError:

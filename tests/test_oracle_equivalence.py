@@ -294,3 +294,14 @@ def test_points_in_matches_scan(anchor_rel):
             assert anchor_rel.points_in(lo, hi) == reference_points_in(grid, lo, hi)
     assert anchor_rel.points_in(e("eps(2)"), e("eps(1)")) == []
     assert anchor_rel.points_in(e("eps(1)"), e("eps(1)")) == []
+    # span reads a point's rank and bisects only an off-grid end
+    ends = list(grid.points) + off_grid
+    upto = [tm.bisect_terms(grid.points, t, right=True) for t in ends]
+    for lo, u_lo in zip(ends, upto):
+        for hi, u_hi in zip(ends, upto):
+            assert anchor_rel.span(lo, hi) == range(u_lo, u_hi)
+    # an equal but distinct copy of a point is read off the same rank
+    for i in range(0, len(grid.points), 20):
+        copy_i = copy.deepcopy(grid.points[i])
+        assert copy_i is not grid.points[i]
+        assert anchor_rel.span(copy_i, grid.points[-1]) == range(i + 1, len(grid.points))

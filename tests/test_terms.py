@@ -237,3 +237,12 @@ def _add_outcome(add, a, b):
 def test_add_matches_the_reference(a, b):
     """The same sum, or OrderUndecidable on the same first pair."""
     assert _add_outcome(tm.add, a, b) == _add_outcome(_reference_add, a, b)
+
+
+def test_repr_of_a_natural_too_long_to_print_names_its_size():
+    """Error messages show terms through repr, which must not raise."""
+    big = 10**5000
+    assert repr(tm.nat(big)) == f"<{big.bit_length()}-bit number>"
+    t = tm.add(tm.mul(tm.omega(), tm.nat(big)), tm.nat(3))
+    assert repr(t) == f"w^(1)*<{big.bit_length()}-bit number>+w^(0)*3"
+    assert repr(tm.Leaf(tm.ConcreteEps(tm.nat(big)))) == f"eps(<{big.bit_length()}-bit number>)"
