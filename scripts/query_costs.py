@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Per-verb command costs of a benchmark workload, in one process.
+
+Usage: python scripts/query_costs.py WORKLOAD [--seed N] [--repeat R]
+
+Generates the seeded script of WORKLOAD (oracle-cold, oracle-warm or
+symbolic-l3) with perfbench/workloads.py, which it only imports, and runs it
+R times through `ordclass.cli.run_command`, each time in a fresh `Session`
+inside a temporary directory (the exports are written there).  Every command
+is timed with time.perf_counter.  For each verb it prints the number of
+commands and the median and p90 of their times in ms, each the best of the
+R runs.  Unlike perfbench/run.py it starts no child process, runs no
+reference kernel and scales no time, so its numbers compare verbs within
+one run, not machines; the oracle-warm script runs without a cache.
+"""
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from ordclass.cli import Session, run_command  # noqa: E402
+from ordclass.errors import OrdinalError  # noqa: E402
+
+
+def load_workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def time_script(lines):
+    """{verb: [ms per command]} of one run of the script in a fresh session."""
+    session = Session(grid_cap=1000)  # as perfbench/session.py sets it
+    times = {}
+    clock = time.perf_counter
+    for line in lines:
+        if line.startswith("@format "):
+            session.output_format = line.split()[1]
+            continue
+        start = clock()
+        try:
+            run_command(session, line)
+        except OrdinalError as exc:
+            raise SystemExit(f"{line}: {exc}") from None
+        times.setdefault(line.split()[0], []).append((clock() - start) * 1e3)
+    return times
+
+
+def p90(values):
+    if len(values) < 2:
+        return values[0]
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
+
+
+def main(argv=None):
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser()
+    parser.add_argument("workload", choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int, default=21)
+    parser.add_argument("--repeat", type=int, default=3)
+    ns = parser.parse_args(argv)
+    if ns.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    lines = workloads.script(ns.workload, ns.seed)
+    runs = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for _ in range(ns.repeat):
+                runs.append(time_script(lines))
+        finally:
+            os.chdir(cwd)
+
+    print(
+        f"{ns.workload}, seed {ns.seed}: best of {ns.repeat} in-process runs,"
+        f" Python {sys.version.split()[0]}"
+    )
+    print(f"{'verb':<12}{'count':>7}{'median_ms':>12}{'p90_ms':>12}")
+    for verb in runs[0]:
+        median = min(statistics.median(run[verb]) for run in runs)
+        tail = min(p90(run[verb]) for run in runs)
+        print(f"{verb:<12}{len(runs[0][verb]):>7}{median:>12.4g}{tail:>12.4g}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -82,6 +82,13 @@ def _text(session, text):
     return text
 
 
+def _render(rel, t):
+    """t's text: read off the grid's printed points if t is one of them
+    (rel may be None), else printed."""
+    i = None if rel is None else rel.grid.rank_of(t)
+    return render_ord(t) if i is None else rel.grid.rendered[i]
+
+
 # How each argument name is read into the value its handler takes: an
 # integer by int(text), any other by reader(session, text).
 _READERS = {
@@ -172,13 +179,13 @@ def _cmd_gmap(session, n, alpha, c):
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_eta(session, k, alpha, t, rel=None):
-    text = render_ord(eta_compute(k, alpha, t, ctx=session.context, rel=rel))
+    text = _render(rel, eta_compute(k, alpha, t, ctx=session.context, rel=rel))
     return text, {"value": text}
 
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_ell(session, k, alpha, t, rel=None):
-    text = render_ord(l_compute(k, alpha, t, ctx=session.context, rel=rel))
+    text = _render(rel, l_compute(k, alpha, t, ctx=session.context, rel=rel))
     return text, {"value": text}
 
 
@@ -195,8 +202,8 @@ def _cmd_lambda(session, j, t):
 def _cmd_canon(session, i, e, k, rel=None):
     data = canonical_point(session.context, i, e, k, rel=rel)
     payload = {
-        "x": render_ord(data.x),
-        "gamma": render_ord(data.gamma),
+        "x": _render(rel, data.x),
+        "gamma": _render(rel, data.gamma),
         "o_chain": [render_leaf(o) for o in data.o_chain],
     }
     return f"x = {payload['x']}, gamma = {payload['gamma']}", payload
@@ -230,7 +237,7 @@ def _cmd_mhat(session, rel, t):
 def _cmd_classdetect(session, rel, j):
     hits = rel.class_detect(j)
     payload = [
-        {"point": render_ord(p), "witness": [render_ord(w) for w in chain]}
+        {"point": _render(rel, p), "witness": [_render(rel, w) for w in chain]}
         for p, chain in hits
     ]
     text = "{" + ", ".join(h["point"] for h in payload) + "}"

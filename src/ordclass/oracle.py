@@ -86,18 +86,32 @@ class Grid:
     # point -> its position in `points`; terms are normal forms, so equal
     # ordinals are equal (and equally hashed) terms
     ranks: dict = field(init=False, repr=False, compare=False)
+    # id(point) -> its position, so that the grid's own point objects are
+    # found without hashing them
+    ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", {p: i for i, p in enumerate(self.points)})
+        object.__setattr__(self, "ids", {id(p): i for i, p in enumerate(self.points)})
+
+    def rank_of(self, t: tm.OrdTerm) -> int | None:
+        """The position of t in `points`, or None if t is not a grid point.
+
+        An id hit is confirmed by identity: a copy of the grid carries the
+        ids of the original's points, which other objects may reuse."""
+        i = self.ids.get(id(t))
+        if i is not None and self.points[i] is t:
+            return i
+        return self.ranks.get(t)
 
     def index(self, t: tm.OrdTerm) -> int:
-        try:
-            return self.ranks[t]
-        except KeyError:
-            raise OrdinalError(f"{render_ord(t)} is not a grid point") from None
+        i = self.rank_of(t)
+        if i is None:
+            raise OrdinalError(f"{render_ord(t)} is not a grid point")
+        return i
 
     def __contains__(self, t):
-        return t in self.ranks
+        return self.rank_of(t) is not None
 
     @functools.cached_property
     def rendered(self) -> tuple[str, ...]:
@@ -178,6 +192,9 @@ class Leq1Relation:
     grid: Grid
     frontiers: tuple[int, ...]
     rounds: int
+    # (alpha, k) -> the ranks that place a point in alpha's level-k interval,
+    # filled by the grid eta/ell of `skeleton`
+    windows: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -196,7 +213,7 @@ class Leq1Relation:
     def _count_upto(self, t: tm.OrdTerm) -> int:
         """The number of grid points <= t: read off its rank if t is a
         point, else bisected."""
-        i = self.grid.ranks.get(t)
+        i = self.grid.rank_of(t)
         if i is None:
             return tm.bisect_terms(self.grid.points, t, right=True)
         return i + 1
@@ -220,7 +237,7 @@ class Leq1Relation:
 
     def class_level_of(self, t: tm.OrdTerm) -> int:
         """The largest j with t in class_detect(1), ..., class_detect(j)."""
-        i = self.grid.ranks.get(t)
+        i = self.grid.rank_of(t)
         if i is None:
             return 0
         j = 0

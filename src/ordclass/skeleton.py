@@ -26,19 +26,28 @@ from .terms import EQ, GT, LT
 O_RECURSION_CAP = 16
 
 
-def _check_interval(k, alpha, t):
+def _check_level(k, alpha):
     if k < 1:
         raise LevelViolation("class level must be >= 1")
     if tm.leaf_level(alpha) < k:
         raise LevelViolation(
             f"{alpha!r} has level {tm.leaf_level(alpha)} < {k}"
         )
-    a = tm.Leaf(alpha)
-    if tm.compare(t, a) is LT:
-        raise LevelViolation(f"{t!r} lies below {alpha!r}")
-    upper = tm.Leaf(tm.mk_succ(alpha, k))
-    if tm.compare(t, upper) is not LT:
-        raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{k})")
+
+
+def _outside(k, alpha, t, below):
+    """The error for a t below alpha (below) or at or above alpha(+^k)."""
+    if below:
+        return LevelViolation(f"{t!r} lies below {alpha!r}")
+    return LevelViolation(f"{t!r} is not below {alpha!r}(+^{k})")
+
+
+def _check_interval(k, alpha, t):
+    _check_level(k, alpha)
+    if tm.compare(t, tm.Leaf(alpha)) is LT:
+        raise _outside(k, alpha, t, True)
+    if tm.compare(t, tm.Leaf(tm.mk_succ(alpha, k))) is not LT:
+        raise _outside(k, alpha, t, False)
 
 
 def _require_source(ctx, rel):
@@ -97,26 +106,77 @@ def _gather(ctx, k, alpha, t, keys, leaves):
     return out
 
 
-def _m_pairs(k, alpha, t, ctx, rel):
+def _m_pairs(k, alpha, t, ctx):
     """(bound, triples): the chain bound of alpha, and None if t is at most
-    it, else an (r, m(r), rank) for each r in (alpha, t] whose m is known.
+    it, else an (r, m(r), rank) for each r in (alpha, t] whose m the
+    context knows.
 
-    Ranks order m-values as integers, equal values with equal ranks: on a
-    grid the rank is the frontier index of r, in a context the rank of an
-    annotated value (ClassContext.m_ranks).  A derived m has rank None.
+    Ranks order m-values as integers, equal values with equal ranks: the
+    rank of an annotated value (ClassContext.m_ranks).  A derived m has
+    rank None.
     """
-    _require_source(ctx, rel)
     _check_interval(k, alpha, t)
     bound = chain_bound(alpha, k)
     if tm.compare(t, bound) is not GT:
         return bound, None
-    if rel is None:
-        ranks = ctx.m_ranks() or {}
-        pairs = _structural_candidates(ctx, k, alpha, t).items()
-        return bound, [(r, m, ranks.get(id(m))) for r, m in pairs]
-    rel.grid.index(t)  # t must be a grid point
-    pts, f = rel.grid.points, rel.frontiers
-    return bound, [(pts[i], pts[f[i]], f[i]) for i in rel.span(tm.Leaf(alpha), t)]
+    ranks = ctx.m_ranks() or {}
+    pairs = _structural_candidates(ctx, k, alpha, t).items()
+    return bound, [(r, m, ranks.get(id(m))) for r, m in pairs]
+
+
+def _grid_window(rel, k, alpha):
+    """(bound, ranks) for alpha's level-k interval on rel's grid, kept in
+    rel.windows: the chain bound of alpha (the grid's own point if it is
+    one), and ranks = (below, upper, low, start), the numbers of points
+    below alpha, below alpha(+^k), at most the bound, and at most alpha.
+
+    ranks is None if alpha is not a concrete epsilon: a grid may hold a
+    leaf whose order against a symbolic alpha is undecidable, which a
+    bisection can step past, so such an alpha is compared as a term.
+    Against a concrete epsilon every term has a decidable place.
+    """
+    window = rel.windows.get((alpha, k))
+    if window is None:
+        _check_level(k, alpha)
+        grid = rel.grid
+        bound = chain_bound(alpha, k)
+        i = grid.rank_of(bound)
+        if i is not None:
+            bound = grid.points[i]
+        ranks = None
+        if isinstance(alpha, tm.ConcreteEps):
+            a = tm.Leaf(alpha)
+            ranks = (
+                tm.bisect_terms(grid.points, a),
+                tm.bisect_terms(grid.points, tm.Leaf(tm.mk_succ(alpha, k))),
+                tm.bisect_terms(grid.points, bound, right=True),
+                rel._count_upto(a),
+            )
+        window = rel.windows[(alpha, k)] = (bound, ranks)
+    return window
+
+
+def _grid_span(k, alpha, t, rel):
+    """(bound, span): the chain bound of alpha, and None if t is at most it,
+    else the ranks of the grid points in (alpha, t].
+
+    For a grid point t the interval checks read its rank against the
+    window's; any other t is compared as a term, and is then no grid point.
+    """
+    bound, ranks = _grid_window(rel, k, alpha)
+    i = rel.grid.rank_of(t)
+    if i is None or ranks is None:
+        _check_interval(k, alpha, t)
+        if tm.compare(t, bound) is not GT:
+            return bound, None
+        rel.grid.index(t)  # t must be a grid point
+        return bound, rel.span(tm.Leaf(alpha), t)
+    below, upper, low, start = ranks
+    if i < below or i >= upper:
+        raise _outside(k, alpha, t, i < below)
+    if i < low:
+        return bound, None
+    return bound, range(start, i + 1)
 
 
 def _greatest(triples):
@@ -145,26 +205,17 @@ def _extreme(values, side):
     return best
 
 
-def eta_compute(k, alpha, t, *, ctx=None, rel=None):
-    """max m over (alpha, t], with the degenerate chain value on the low part.
-
-    The maximum is taken on ranks where it can be.  If that meets an
-    undecidable pair, every m is compared as a term instead.
-    """
-    bound, triples = _m_pairs(k, alpha, t, ctx, rel)
-    if triples is None:
-        return bound
+def _eta_of(triples):
+    """The greatest m of the triples: on ranks where it can be taken there;
+    if that meets an undecidable pair, every m is compared as a term."""
     try:
         return _greatest(triples)[0]
     except OrderUndecidable:
         return _extreme((m for _, m, _ in triples), GT)
 
 
-def l_compute(k, alpha, t, *, ctx=None, rel=None):
-    """Least r in (alpha, t] whose m realizes the eta maximum."""
-    bound, triples = _m_pairs(k, alpha, t, ctx, rel)
-    if triples is None:
-        return bound
+def _ell_of(triples):
+    """The least r of the triples whose m is the greatest."""
     try:
         eta, top = _greatest(triples)
         at_top = [
@@ -176,6 +227,37 @@ def l_compute(k, alpha, t, *, ctx=None, rel=None):
         eta = _extreme((m for _, m, _ in triples), GT)
         at_top = (r for r, m, _ in triples if tm.compare(m, eta) is EQ)
     return _extreme(at_top, LT)
+
+
+def eta_compute(k, alpha, t, *, ctx=None, rel=None):
+    """max m over (alpha, t], with the degenerate chain value on the low part.
+
+    On a grid, m-hat(r) is the point at r's frontier, so the maximum is the
+    point at the largest frontier of the span.  In a context it is taken
+    over the candidates' m-values (_eta_of).
+    """
+    _require_source(ctx, rel)
+    if rel is not None:
+        bound, span = _grid_span(k, alpha, t, rel)
+        if span is None:
+            return bound
+        return rel.grid.points[max(rel.frontiers[span.start : span.stop])]
+    bound, triples = _m_pairs(k, alpha, t, ctx)
+    return bound if triples is None else _eta_of(triples)
+
+
+def l_compute(k, alpha, t, *, ctx=None, rel=None):
+    """Least r in (alpha, t] whose m realizes the eta maximum."""
+    _require_source(ctx, rel)
+    if rel is not None:
+        bound, span = _grid_span(k, alpha, t, rel)
+        if span is None:
+            return bound
+        f = rel.frontiers
+        top = max(f[span.start : span.stop])
+        return rel.grid.points[f.index(top, span.start, span.stop)]
+    bound, triples = _m_pairs(k, alpha, t, ctx)
+    return bound if triples is None else _ell_of(triples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
-"""The literal <=1 check that `oracle.leq1_fixpoint` collapses into two
-window conditions, kept as the slow reference the tests hold the fast
-engine to: `slow_check_pair` enumerates the subsets B of alpha's window,
-and `reference_fixpoint` iterates it from the full order."""
+"""Slow references the tests hold the fast oracle to.
+
+- The literal <=1 check that `oracle.leq1_fixpoint` collapses into two
+  window conditions: `slow_check_pair` enumerates the subsets B of alpha's
+  window, and `reference_fixpoint` iterates it from the full order.
+- Grid eta and l by term comparisons: `reference_m_pairs` checks t's place
+  in alpha's interval with `terms.compare` and lists an (r, m-hat(r), rank)
+  triple for every grid point r in (alpha, t]; `reference_eta` and
+  `reference_ell` take the maximum over the triples as the structural
+  eta/l do.
+"""
 
 from __future__ import annotations
 
 import itertools
 
 from ordclass import terms as tm
-from ordclass.terms import LT
+from ordclass.context import chain_bound
+from ordclass.skeleton import _check_interval, _ell_of, _eta_of
+from ordclass.terms import GT, LT
 
 
 def _eps_split(y, alpha_leaf):
@@ -121,3 +130,26 @@ def reference_fixpoint(grid, subset_cap, order=None):
                     changed = True
                     break
     return tuple(f)
+
+
+def reference_m_pairs(k, alpha, t, rel):
+    """(bound, triples): the chain bound of alpha, and None if t is at most
+    it, else an (r, m(r), rank) for each grid point r in (alpha, t], the
+    rank being the frontier index of r."""
+    _check_interval(k, alpha, t)
+    bound = chain_bound(alpha, k)
+    if tm.compare(t, bound) is not GT:
+        return bound, None
+    rel.grid.index(t)  # t must be a grid point
+    pts, f = rel.grid.points, rel.frontiers
+    return bound, [(pts[i], pts[f[i]], f[i]) for i in rel.span(tm.Leaf(alpha), t)]
+
+
+def reference_eta(k, alpha, t, rel):
+    bound, triples = reference_m_pairs(k, alpha, t, rel)
+    return bound if triples is None else _eta_of(triples)
+
+
+def reference_ell(k, alpha, t, rel):
+    bound, triples = reference_m_pairs(k, alpha, t, rel)
+    return bound if triples is None else _ell_of(triples)

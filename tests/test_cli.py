@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import shlex
 import tempfile
@@ -11,10 +13,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
 from ordclass.errors import OrdinalError
-from ordclass.grammar import parse_ord, render_leaf
+from ordclass.grammar import parse_ord, render_leaf, render_ord
+from ordclass.oracle import Leq1Relation
 
 
 def run(capsys, *argv):
@@ -476,6 +480,53 @@ def test_grid_queries_answer_the_same_by_text_and_by_parse(monkeypatch, grid_com
         for alpha in sorted(alphas):
             both("eta 1 {} {} g", alpha, text)
             both("ell 1 {} {} g", alpha, text)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grid_answers_do_not_depend_on_query_history(anchor_rel):
+    """The benchmark's seed-21 eta/ell/gset/astep lines answer the same in
+    script order and shuffled, each session with its own window table."""
+    script = _perfbench_workloads().oracle_warm(21)
+    assert script[0] == "grid g eps(3) eps(0) eps(1) eps(2)"
+    lines = [line for line in script if line.split()[0] in ("eta", "ell", "gset", "astep")]
+    shuffled = list(lines)
+    random.Random(5).shuffle(shuffled)
+    answers = []
+    for order in (lines, shuffled):
+        session = Session()
+        session.grids["g"] = Leq1Relation(anchor_rel.grid, anchor_rel.frontiers, anchor_rel.rounds)
+        answers.append({line: _outcome(session, line) for line in order})
+    assert answers[0] == answers[1]
+    assert len(answers[0]) == len(set(lines)) > 400
+
+
+def test_two_grids_keep_their_own_windows():
+    """Two grids queried with the same alpha keep their own window entries,
+    and each answers as the reference does on it; eps(0) is a point of g
+    but not of h, and the queries alternate between the grids."""
+    session = Session()
+    run_command(session, "grid g eps(2) eps(0) eps(1)")
+    run_command(session, "grid h eps(1) eps(0)+1")
+    g, h = session.grids["g"], session.grids["h"]
+    e0 = tm.ConcreteEps(tm.nat(0))
+    for t in h.grid.rendered[::3] + g.grid.rendered[::7]:
+        t_term = parse_ord(t)
+        for name, rel in (("g", g), ("h", h), ("g", g)):
+            for verb, reference in (("eta", reference_eta), ("ell", reference_ell)):
+                try:
+                    text = render_ord(reference(1, e0, t_term, rel))
+                    want = text, {"value": text}
+                except OrdinalError as exc:
+                    want = type(exc), str(exc)
+                assert _outcome(session, f"{verb} 1 eps(0) {t} {name}") == want
+    assert g.windows[(e0, 1)] != h.windows[(e0, 1)]
 
 
 @pytest.mark.parametrize(

@@ -404,7 +404,7 @@ def test_undecidable_unranked_value_reruns_the_term_loop():
     E = ctx.atom("E")
     t = tm.mul(tm.Leaf(tm.mk_succ(E, 1)), tm.nat(3))
     assert ctx.m_ranks() is not None
-    _, triples = _m_pairs(2, E, t, ctx, None)
+    _, triples = _m_pairs(2, E, t, ctx)
     assert [rank for _, _, rank in triples] == [None, 0, None]
     with pytest.raises(OrderUndecidable):
         _greatest(triples)

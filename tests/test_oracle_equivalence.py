@@ -2,6 +2,8 @@
 
 - `reference_fixpoint`, from `oracle_reference.py`, iterates the literal
   subset-enumerating check;
+- `reference_eta` and `reference_ell`, from the same file, place t in
+  alpha's interval by term comparisons and scan (r, m-hat(r)) triples;
 - `reference_build_grid` offers every frontier pair in both orders each round;
 - `reference_compare` enters with a structural `==`;
 - `reference_points_in` scans every grid point.
@@ -15,10 +17,18 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import EPS, random_term, seeded
-from oracle_reference import reference_fixpoint, slow_check_pair
+from oracle_reference import (
+    reference_ell,
+    reference_eta,
+    reference_fixpoint,
+    slow_check_pair,
+)
 from ordclass import terms as tm
+from ordclass.cli import _render
+from ordclass.context import chain_bound
 from ordclass.errors import GridCapExceeded, OrderUndecidable, OrdinalError
-from ordclass.grammar import parse_ord
+from ordclass.grammar import parse_ord, render_ord
+from ordclass.skeleton import eta_compute, l_compute
 from ordclass.oracle import (
     ANCHOR_OPS,
     Grid,
@@ -305,3 +315,103 @@ def test_points_in_matches_scan(anchor_rel):
         copy_i = copy.deepcopy(grid.points[i])
         assert copy_i is not grid.points[i]
         assert anchor_rel.span(copy_i, grid.points[-1]) == range(i + 1, len(grid.points))
+
+
+# ---------------------------------------------------------------------------
+# grid eta/ell in rank space against the term-comparing reference
+
+# A@1 and A@2 share a rank, so their order is undecidable, and so is the
+# order of A@1(+1) against either
+A1 = tm.ClassAtom("A", 1, 0)
+A2 = tm.ClassAtom("A", 2, 0)
+B1 = tm.ClassAtom("B", 1, 1)
+C3 = tm.ClassAtom("C", 3, 2)
+ATOM_ALPHAS = [A1, A2, tm.mk_succ(A1, 1)]
+ETA_BOUNDS = [e(t) for t in ("eps(1)", "eps(2)", "eps(3)", "eps(0)*3", "eps(1)*3")]
+ETA_BOUNDS += [tm.Leaf(C3), tm.Leaf(tm.mk_succ(A2, 1))]
+ETA_SEEDS = [tm.Leaf(x) for x in (*EPS[:3], A1, A2, B1)]
+W5 = tm.mul(tm.omega(), tm.nat(5))
+
+
+def _probes(alpha, k):
+    """Terms around alpha's level-k interval that are no grid points of the
+    anchor preset (w*5 breaks its coefficient cap): below alpha, at or
+    below the chain bound, between the bound and alpha(+^k), at or above
+    alpha(+^k)."""
+    a = tm.Leaf(alpha)
+    out = [tm.add(W5, tm.nat(3)), tm.add(a, W5)]
+    try:
+        bound = chain_bound(alpha, k)
+        upper = tm.Leaf(tm.mk_succ(alpha, k))
+    except OrdinalError:  # k exceeds alpha's level
+        return out
+    return out + [bound, tm.add(bound, W5), upper, tm.add(tm.mul(upper, tm.nat(2)), tm.one())]
+
+
+def _text_outcome(fn, render):
+    try:
+        return render(fn())
+    except OrdinalError as exc:
+        return type(exc), str(exc)
+
+
+def assert_grid_eta_ell_match_reference(rel, alphas):
+    """Every alpha given and every epsilon of the grid, k = 0, 1, 2, and t
+    every grid point, an equal copy of one, and the probes."""
+    points = rel.grid.points
+    alphas = list(alphas) + [p.leaf for p in points if tm.is_epsilon(p)]
+    for alpha in alphas:
+        for k in (0, 1, 2):
+            for t in (*points, copy.deepcopy(points[-1]), *_probes(alpha, k)):
+                for fast, slow in ((eta_compute, reference_eta), (l_compute, reference_ell)):
+                    got = _text_outcome(
+                        lambda: fast(k, alpha, t, rel=rel), lambda v: _render(rel, v)
+                    )
+                    want = _text_outcome(lambda: slow(k, alpha, t, rel), render_ord)
+                    assert got == want, (fast.__name__, k, alpha, t)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_grid_eta_ell_match_the_reference_on_anchor_grids(g, anchor_rel):
+    rel = anchor_rel if g == 3 else leq1_fixpoint(build_grid(*anchor_args(g), ANCHOR_OPS))
+    assert_grid_eta_ell_match_reference(rel, [EPS[7], *ATOM_ALPHAS])
+
+
+def test_grid_eta_ell_match_the_reference_below_a_non_point():
+    # eps(0) is no point of this grid
+    rel = leq1_fixpoint(build_grid(e("eps(1)"), [e("eps(0)+1")], ANCHOR_OPS))
+    assert EPS[0] not in [p.leaf for p in rel.grid.points if tm.is_epsilon(p)]
+    assert_grid_eta_ell_match_reference(rel, [EPS[0], EPS[7], *ATOM_ALPHAS])
+
+
+@pytest.mark.parametrize(
+    "bound, seeds",
+    [
+        # A@1(+1) has no decidable order against B@1, nor A@1 and A@2
+        # against each other, so bisecting such an alpha would fail
+        (tm.Leaf(C3), [EPS[0], A1, B1]),
+        (tm.Leaf(tm.mk_succ(A2, 1)), [EPS[0], A2]),
+    ],
+)
+def test_grid_eta_ell_match_the_reference_on_grids_seeded_with_atoms(bound, seeds):
+    ops = GridOps(tower_height=1, coeff_cap=1, tail_cap=1, max_monomials=2)
+    rel = leq1_fixpoint(build_grid(bound, [tm.Leaf(x) for x in seeds], ops))
+    with pytest.raises(OrderUndecidable):
+        tm.bisect_terms(rel.grid.points, tm.Leaf(A1 if A2 in seeds else ATOM_ALPHAS[2]))
+    assert_grid_eta_ell_match_reference(rel, [EPS[0], EPS[7], *ATOM_ALPHAS])
+
+
+@given(
+    ops_st,
+    st.sampled_from(ETA_BOUNDS),
+    st.lists(st.sampled_from(ETA_SEEDS), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_grid_eta_ell_match_the_reference_on_drawn_grids(ops, bound, seeds):
+    """Grids of up to 40 points, some seeded with atoms whose order against
+    an atom alpha is undecidable."""
+    try:
+        grid = build_grid(bound, seeds, ops, cap=40)
+    except (GridCapExceeded, OrderUndecidable):
+        reject()
+    assert_grid_eta_ell_match_reference(leq1_fixpoint(grid), [EPS[0], EPS[7], *ATOM_ALPHAS])

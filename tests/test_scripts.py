@@ -69,6 +69,26 @@ def test_explore_canonical_transports_every_point(level, points):
     assert tsets == chains and len(chains) == points
 
 
+def test_query_costs_prints_every_verb_of_the_workload():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "query_costs.py"), "oracle-warm", "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("oracle-warm, seed 21: best of 1 in-process runs")
+    assert lines[1].split() == ["verb", "count", "median_ms", "p90_ms"]
+    rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    assert set(rows) == {
+        "grid", "leq1", "mhat", "eta", "ell", "gset", "astep", "canon", "classdetect", "export"
+    }
+    assert rows["grid"][0] == "1" and rows["classdetect"][0] == "3"
+    for count, median, tail in rows.values():
+        assert 0 < float(median) <= float(tail)
+
+
 def test_perfbench_tracer_records_the_named_layers(tmp_path):
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
