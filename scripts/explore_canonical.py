@@ -32,7 +32,7 @@ def main():
     for leaf in chain[1:]:
         print(f"  m({render_leaf(leaf)}) = {render_ord(ctx.m_of(tm.Leaf(leaf)))}")
 
-    g = g_map(ctx, ns.level, E, F)
+    g = g_map(ns.level, E, F)
     for k in range(1, ns.points + 1):
         data = canonical_point(ctx, ns.level, E, k)
         ts = T_set(ctx, ns.level, E, data.gamma)

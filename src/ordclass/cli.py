@@ -172,26 +172,26 @@ def _cmd_tset(session, n, alpha, t):
 
 @_verb("N ALPHA C")
 def _cmd_gmap(session, n, alpha, c):
-    g = g_map(session.context, n, alpha, c)
+    g = g_map(n, alpha, c)
     data = g.to_json()
     return json.dumps(data, sort_keys=True), data
 
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_eta(session, k, alpha, t, rel=None):
-    text = _render(rel, eta_compute(k, alpha, t, ctx=session.context, rel=rel))
+    text = _render(rel, eta_compute(rel or session.context, k, alpha, t))
     return text, {"value": text}
 
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_ell(session, k, alpha, t, rel=None):
-    text = _render(rel, l_compute(k, alpha, t, ctx=session.context, rel=rel))
+    text = _render(rel, l_compute(rel or session.context, k, alpha, t))
     return text, {"value": text}
 
 
 @_verb("J T")
 def _cmd_lambda(session, j, t):
-    where = lambda_locate(session.context, j, t)
+    where = lambda_locate(j, t)
     if where is NEG_INFINITY:
         return "-inf", {"lambda": None}
     text = render_leaf(where)
@@ -200,7 +200,7 @@ def _cmd_lambda(session, j, t):
 
 @_verb("I E K [GRID]")
 def _cmd_canon(session, i, e, k, rel=None):
-    data = canonical_point(session.context, i, e, k, rel=rel)
+    data = canonical_point(rel or session.context, i, e, k)
     payload = {
         "x": _render(rel, data.x),
         "gamma": _render(rel, data.gamma),
@@ -248,21 +248,21 @@ def _cmd_classdetect(session, rel, j):
 def _cmd_gset(session, n, alpha, t, rel):
     g_level(n)  # even if the grid has no epsilon point
     rows, names = [], []
-    for p in rel.grid.points:  # increasing, so the members are sorted
-        if tm.is_epsilon(p):
-            member, why = G_membership(n, alpha, t, p.leaf, rel=rel)
-            rows.append({"beta": render_leaf(p.leaf), "member": member, "provenance": why})
-            if member:
-                names.append(rows[-1]["beta"])
+    for i in rel.grid.epsilons:  # increasing, so the members are sorted
+        beta = rel.grid.points[i].leaf
+        member, why = G_membership(rel, n, alpha, t, beta)
+        rows.append({"beta": render_leaf(beta), "member": member, "provenance": why})
+        if member:
+            names.append(rows[-1]["beta"])
     payload = {"members": names, "queries": rows, "sample_relative": True}
     return "{" + ", ".join(names) + "}", payload
 
 
 @_verb("N ALPHA L GRID")
 def _cmd_astep(session, n, alpha, l, rel):
-    universe = [p.leaf for p in rel.grid.points if tm.is_epsilon(p)]
-    prev = G_sample(n, alpha, l, universe, rel=rel)
-    step = A_successor_step(n, alpha, l, prev, rel=rel)
+    universe = [rel.grid.points[i].leaf for i in rel.grid.epsilons]
+    prev = G_sample(rel, n, alpha, l, universe)
+    step = A_successor_step(rel, n, alpha, l, prev)
     names = [render_leaf(b) for b in step.members]
     payload = {
         "t": render_ord(step.t),

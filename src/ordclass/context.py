@@ -292,13 +292,9 @@ def chain_bound(a: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     return tm.mul(tm.Leaf(cur), tm.nat(2))
 
 
-def class_level(x: tm.OrdTerm, rel=None) -> int:
+def class_level(x: tm.OrdTerm) -> int:
     """Largest j with x in Class(j) readable from the leaf structure."""
-    if not isinstance(x, tm.Leaf):
-        if rel is not None:
-            return rel.class_level_of(x)
-        return 0
-    return tm.leaf_level(x.leaf)
+    return tm.leaf_level(x.leaf) if isinstance(x, tm.Leaf) else 0
 
 
 def _leading_leaf(t: tm.OrdTerm) -> tm.EpsLeaf | None:
@@ -315,7 +311,7 @@ def _leading_leaf(t: tm.OrdTerm) -> tm.EpsLeaf | None:
         t = head
 
 
-def lambda_locate(ctx: ClassContext | None, j: int, t: tm.OrdTerm):
+def lambda_locate(j: int, t: tm.OrdTerm):
     """The unique delta in Class(j) with t in [delta, delta(+^j)), or -inf."""
     if j < 1:
         raise LevelViolation("lambda level must be >= 1")

@@ -2,8 +2,11 @@
 predicate, the successor step of the A-recursion, S-interval sets, and the
 interval-transport bijection between [r, r(+^k)) and its copy above kappa.
 
-Every set produced here is a finite computed sample; limit operators are
-sample-relative and flagged as such.
+A call that reads m or T-sets takes one `source`: a grid relation
+(Leq1Relation), which decides level-1 intervals from its m-hat, or a
+ClassContext, which reads its annotations and T-sets.  Every set produced
+here is a finite computed sample; limit operators are sample-relative and
+flagged as such.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from . import terms as tm
 from .context import chain_bound
 from .errors import LevelViolation, Undecidable
-from .skeleton import T_set, _require_source, eta_compute, g_map, l_compute
+from .oracle import Leq1Relation
+from .skeleton import T_set, eta_compute, g_map, l_compute
 from .subst import apply_subst
 from .terms import GT, LT
 
@@ -28,34 +32,31 @@ class HierarchySet:
     sample_relative: bool = True
 
 
-def _t_below(k, alpha, t, ctx, rel):
+def _t_below(source, k, alpha, t):
     """The members of T(k, alpha, t) below alpha."""
-    _require_source(ctx, rel)
-    if rel is None:
-        return T_set(ctx, k, alpha, t).intersect_below(alpha)
+    if not isinstance(source, Leq1Relation):
+        return T_set(source, k, alpha, t).intersect_below(alpha)
     # grid T-sets are Ep-sets, which is the level-1 identity only
     if k != 1:
         raise Undecidable(f"grids decide level-1 intervals only, got level {k}")
     return [e for e in tm.ep_set(t) if tm.compare_leaves(e, alpha) is LT]
 
 
-def leq1_query(beta: tm.EpsLeaf, v: tm.OrdTerm, *, ctx=None, rel=None):
+def leq1_query(source, beta: tm.EpsLeaf, v: tm.OrdTerm):
     """Decide beta <=1 v; returns (answer, provenance)."""
     b = tm.Leaf(beta)
     if tm.compare(v, b) is not GT:
         return True, "reflexive"
-    if rel is not None:
-        if b in rel.grid:
-            answer = tm.compare(v, rel.m_hat(b)) is not GT
+    if isinstance(source, Leq1Relation):
+        if b in source.grid:
+            answer = tm.compare(v, source.m_hat(b)) is not GT
             return answer, "grid"
         raise Undecidable(f"{beta!r} is outside the grid")
-    if ctx is None:
-        raise Undecidable("no grid and no context for a <=1 query")
     level = tm.leaf_level(beta)
     if tm.compare(v, chain_bound(beta, level)) is not GT:
         return True, "level-rule"
-    if b in ctx.m_table:
-        return tm.compare(v, ctx.m_table[b]) is not GT, "annotation"
+    if b in source.m_table:
+        return tm.compare(v, source.m_table[b]) is not GT, "annotation"
     raise Undecidable(f"beta <=1 {v!r} has no grid value or annotation")
 
 
@@ -66,70 +67,68 @@ def g_level(n):
     return n - 1
 
 
-def G_membership(n, alpha, t, beta, *, ctx=None, rel=None):
+def G_membership(source, n, alpha, t, beta):
     """beta in G^{n-1}(t) relative to alpha's interval; returns (bool, why)."""
     k = g_level(n)
     b = tm.Leaf(beta)
     if tm.compare(b, tm.Leaf(alpha)) is GT:
         return False, "beta above alpha"
-    for e in _t_below(k, alpha, t, ctx, rel):
+    for e in _t_below(source, k, alpha, t):
         if tm.compare_leaves(e, beta) is not LT:
             return False, "T-set not contained in beta"
-    eta = eta_compute(k, alpha, t, ctx=ctx, rel=rel)
-    g = g_map(ctx, k, alpha, beta)
-    v = tm.add(apply_subst(eta, g), tm.one())
-    answer, why = leq1_query(beta, v, ctx=ctx, rel=rel)
-    return answer, why
+    eta = eta_compute(source, k, alpha, t)
+    v = tm.add(apply_subst(eta, g_map(k, alpha, beta)), tm.one())
+    return leq1_query(source, beta, v)
 
 
-def G_sample(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
+def G_sample(source, n, alpha, t, universe) -> HierarchySet:
     g_level(n)  # even if the universe is empty
     members = []
     for beta in universe:
-        ok, _ = G_membership(n, alpha, t, beta, ctx=ctx, rel=rel)
+        ok, _ = G_membership(source, n, alpha, t, beta)
         if ok:
             members.append(beta)
     return HierarchySet("G", n, alpha, t, tuple(tm.sort_leaves(members)))
 
 
-def A_successor_step(n, alpha, l, prev: HierarchySet, *, ctx=None, rel=None) -> HierarchySet:
+def A_successor_step(source, n, alpha, l, prev: HierarchySet) -> HierarchySet:
     """A^{n-1}(l+1) from A^{n-1}(l): unchanged below the eta fixpoint, else
     the limit points of A^{n-1}(l), of which a finite sample has none."""
     k = n - 1
-    eta = eta_compute(k, alpha, l, ctx=ctx, rel=rel)
+    eta = eta_compute(source, k, alpha, l)
     succ_t = tm.add(l, tm.one())
     members = prev.members if tm.compare(l, eta) is LT else ()
     return HierarchySet("A-successor-trace", n, alpha, succ_t, members)
 
 
-def A_degenerate(n, alpha, t, universe, *, ctx=None, rel=None) -> HierarchySet:
+def A_degenerate(source, n, alpha, t) -> HierarchySet:
     """A^{n-1}(t) on [alpha, chain bound]: Lim Class(n-1) above max(T below alpha).
 
     A finite sample has no limit points, so the set is empty; T below alpha
     is still computed, so a T it cannot decide fails as it would with limits.
     """
-    _t_below(n - 1, alpha, t, ctx, rel)
+    _t_below(source, n - 1, alpha, t)
     return HierarchySet("A-successor-trace", n, alpha, t, ())
 
 
-def S_interval(i, alpha, r, t, universe, *, ctx=None, rel=None):
+def S_interval(source, i, alpha, r, t, universe):
     """{q in (alpha, l(i, alpha, t)) : T(i, alpha, q) below alpha inside r}."""
-    ell = l_compute(i, alpha, t, ctx=ctx, rel=rel)
+    ell = l_compute(source, i, alpha, t)
     a = tm.Leaf(alpha)
     out = []
     for q in universe:
         if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
             continue
-        if all(tm.compare_leaves(e, r) is LT for e in _t_below(i, alpha, q, ctx, rel)):
+        if all(tm.compare_leaves(e, r) is LT for e in _t_below(source, i, alpha, q)):
             out.append(q)
     return tuple(out)
 
 
-def S_interval_via_domain(i, alpha, r, t, universe, *, ctx=None, rel=None):
+def S_interval_via_domain(source, i, alpha, r, t, universe):
     """The Remark's second reading: q with Ep(q) inside Dom g(i, alpha, r)."""
-    ell = l_compute(i, alpha, t, ctx=ctx, rel=rel)
+    ell = l_compute(source, i, alpha, t)
     a = tm.Leaf(alpha)
-    g = g_map(ctx, i, alpha, r)
+    g = g_map(i, alpha, r)
     out = []
     for q in universe:
         if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
@@ -155,7 +154,7 @@ class Transport:
     def H_of(self, s: tm.OrdTerm) -> tm.OrdTerm:
         return apply_subst(s, self.backward)
 
-    def M_set(self, universe, *, ctx=None, rel=None):
+    def M_set(self, source, universe):
         """{q in [kappa, kappa(+^k)) : T(k, kappa, q) below kappa inside r}."""
         lo = tm.Leaf(self.kappa)
         hi = tm.Leaf(tm.mk_succ(self.kappa, self.k))
@@ -163,16 +162,16 @@ class Transport:
         for q in universe:
             if tm.compare(q, lo) is LT or tm.compare(q, hi) is not LT:
                 continue
-            tcap = _t_below(self.k, self.kappa, q, ctx, rel)
+            tcap = _t_below(source, self.k, self.kappa, q)
             if all(tm.compare_leaves(e, self.r) is LT for e in tcap):
                 out.append(q)
         return tuple(out)
 
 
-def M_transport(n, r, kappa, *, ctx=None) -> Transport:
+def M_transport(n, r, kappa) -> Transport:
     k = n - 1
     if tm.compare_leaves(r, kappa) is not LT:
         raise ValueError("transport needs r < kappa")
-    fwd = g_map(ctx, k, r, kappa)
-    bwd = g_map(ctx, k, kappa, r)
+    fwd = g_map(k, r, kappa)
+    bwd = g_map(k, kappa, r)
     return Transport(k, r, kappa, fwd, bwd)

@@ -119,6 +119,11 @@ class Grid:
         return tuple(render_ord(p) for p in self.points)
 
     @functools.cached_property
+    def epsilons(self) -> tuple[int, ...]:
+        """The ranks of the epsilon points, increasing."""
+        return tuple(i for i, p in enumerate(self.points) if tm.is_epsilon(p))
+
+    @functools.cached_property
     def by_text(self) -> dict:
         """The canonical text of each point -> the point itself.  Printed
         terms re-parse to equal terms, so a text found here needs no parse."""
@@ -258,11 +263,10 @@ class Leq1Relation:
         """
         pts, f = self.grid.points, self.frontiers
         level = {}
-        for i, p in enumerate(pts):
-            if tm.is_epsilon(p):
-                d = self.grid.ranks.get(tm.mul(p, tm.nat(2)))
-                if d is not None and f[i] >= d:
-                    level[i] = [i, d]
+        for i in self.grid.epsilons:
+            d = self.grid.ranks.get(tm.mul(pts[i], tm.nat(2)))
+            if d is not None and f[i] >= d:
+                level[i] = [i, d]
         while level:
             yield level
             members = sorted(level)

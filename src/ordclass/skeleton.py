@@ -1,10 +1,10 @@
 """Class(n) machinery over declared atoms (structural) and grid ordinals
 (oracle): eta/l operators, canonical sequences, T-sets, f/S-sets, g-maps.
 
-m is read from one source per call, never a mix: a call given a grid
-relation (`rel=`) reads its m-hat frontier; otherwise it reads the context
-(`ctx=`), its m-annotations and the derivation rules in ClassContext.m_of.
-A call given neither raises RegimeMixed.
+eta, l and the canonical points read m from the one `source` they are
+given: a grid relation (Leq1Relation), whose m-hat is its frontiers, or a
+ClassContext, whose m is its annotations and the derivation rules in
+ClassContext.m_of.  g-maps read no m and take no source.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     RegimeMixed,
     Undecidable,
 )
+from .oracle import Leq1Relation
 from .subst import SubstMap, apply_subst, make_map
 from .terms import EQ, GT, LT
 
@@ -48,12 +49,6 @@ def _check_interval(k, alpha, t):
         raise _outside(k, alpha, t, True)
     if tm.compare(t, tm.Leaf(tm.mk_succ(alpha, k))) is not LT:
         raise _outside(k, alpha, t, False)
-
-
-def _require_source(ctx, rel):
-    """A call reads m from rel if given, else from ctx; it needs one."""
-    if ctx is None and rel is None:
-        raise RegimeMixed("needs a context (ctx=) or a grid relation (rel=)")
 
 
 def _inside(r, a, t):
@@ -229,34 +224,32 @@ def _ell_of(triples):
     return _extreme(at_top, LT)
 
 
-def eta_compute(k, alpha, t, *, ctx=None, rel=None):
+def eta_compute(source, k, alpha, t):
     """max m over (alpha, t], with the degenerate chain value on the low part.
 
     On a grid, m-hat(r) is the point at r's frontier, so the maximum is the
     point at the largest frontier of the span.  In a context it is taken
     over the candidates' m-values (_eta_of).
     """
-    _require_source(ctx, rel)
-    if rel is not None:
-        bound, span = _grid_span(k, alpha, t, rel)
+    if isinstance(source, Leq1Relation):
+        bound, span = _grid_span(k, alpha, t, source)
         if span is None:
             return bound
-        return rel.grid.points[max(rel.frontiers[span.start : span.stop])]
-    bound, triples = _m_pairs(k, alpha, t, ctx)
+        return source.grid.points[max(source.frontiers[span.start : span.stop])]
+    bound, triples = _m_pairs(k, alpha, t, source)
     return bound if triples is None else _eta_of(triples)
 
 
-def l_compute(k, alpha, t, *, ctx=None, rel=None):
+def l_compute(source, k, alpha, t):
     """Least r in (alpha, t] whose m realizes the eta maximum."""
-    _require_source(ctx, rel)
-    if rel is not None:
-        bound, span = _grid_span(k, alpha, t, rel)
+    if isinstance(source, Leq1Relation):
+        bound, span = _grid_span(k, alpha, t, source)
         if span is None:
             return bound
-        f = rel.frontiers
+        f = source.frontiers
         top = max(f[span.start : span.stop])
-        return rel.grid.points[f.index(top, span.start, span.stop)]
-    bound, triples = _m_pairs(k, alpha, t, ctx)
+        return source.grid.points[f.index(top, span.start, span.stop)]
+    bound, triples = _m_pairs(k, alpha, t, source)
     return bound if triples is None else _ell_of(triples)
 
 
@@ -276,35 +269,37 @@ def _symbolic_gamma(e: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     return tm.add(tm.omega_tower(e, k), tm.omega_tower(e, k - 1))
 
 
-def canonical_point(ctx, i, e, k, *, rel=None) -> CanonicalData:
-    """The paper-indexed point x_k(i, e) and its reach gamma_k(i, e)."""
-    _require_source(ctx, rel)
+def canonical_point(source, i, e, k) -> CanonicalData:
+    """The paper-indexed point x_k(i, e) and its reach gamma_k(i, e).
+
+    A grid relation gives gamma as its m-hat and carries level 1 only; a
+    context is given the symbolic gamma as an m-annotation."""
     if i < 1 or k < 1:
         raise LevelViolation("canonical sequence needs i >= 1 and k >= 1")
     if tm.leaf_level(e) < i:
         raise LevelViolation(f"{e!r} has level below {i}")
+    if isinstance(source, Leq1Relation):
+        if i > 1:
+            raise RegimeMixed("a grid relation only carries level-1 canonical data")
+        x = tm.omega_tower(e, k)
+        return CanonicalData(x, source.m_hat(x), (e,))
     if i == 1:
         x = tm.omega_tower(e, k)
-        if rel is not None:
-            gamma = rel.m_hat(x)
-        else:
-            gamma = _symbolic_gamma(e, k)
-            ctx.set_m(x, gamma)
+        gamma = _symbolic_gamma(e, k)
+        source.set_m(x, gamma)
         return CanonicalData(x, gamma, (e,))
-    if rel is not None:
-        raise RegimeMixed("a grid relation only carries level-1 canonical data")
     # o_{i-1} = x_k(i, e), o_{j-1} = x_k(j, o_j); gamma = m(o_1)
     chain = [e]
     cur = e
     for j in range(i, 1, -1):
         cur = tm.mk_canonical(j - 1, cur, k)
-        ctx.register(cur)
+        source.register(cur)
         chain.append(cur)
     o1 = chain[-1]
     gamma = _symbolic_gamma(o1, k)
-    ctx.set_m(tm.omega_tower(o1, k), gamma)
+    source.set_m(tm.omega_tower(o1, k), gamma)
     for leaf in chain[1:]:
-        ctx.set_m(tm.Leaf(leaf), gamma)
+        source.set_m(tm.Leaf(leaf), gamma)
     o_chain = tuple(reversed(chain))
     return CanonicalData(tm.Leaf(chain[1]), gamma, o_chain)
 
@@ -353,10 +348,10 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm) -> TSet:
     # t is an epsilon inside (alpha, alpha(+^n)): iterate the O-recursion
     m_t = ctx.m_of(t)
     chain = []
-    cur = lambda_locate(ctx, 1, m_t)
+    cur = lambda_locate(1, m_t)
     chain.append(cur)
     for j in range(2, n + 1):
-        cur = lambda_locate(ctx, j, tm.Leaf(cur))
+        cur = lambda_locate(j, tm.Leaf(cur))
         chain.append(cur)
     members = set()
     frontier = [c for c in chain if _in_open_interval(c, a, upper)]
@@ -366,7 +361,7 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm) -> TSet:
             k = tm.leaf_level(delta)
             if not 1 <= k <= n - 1:
                 continue
-            lam = lambda_locate(ctx, k + 1, tm.Leaf(delta))
+            lam = lambda_locate(k + 1, tm.Leaf(delta))
             if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
                 raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
             fset = f_and_S(ctx, k + 1, lam, delta)[1]
@@ -406,7 +401,7 @@ def f_and_S(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, delta: tm.EpsLeaf):
     for e in ctx.leaves_between(a, d, min_level=n - 1):
         if not _in_open_interval(e, a, upper):
             continue
-        g = g_map(ctx, n - 1, e, delta)
+        g = g_map(n - 1, e, delta)
         moved = apply_subst(ctx.m_of(tm.Leaf(e)), g)
         if tm.compare(moved, m_delta) is not LT:
             s_members.append(e)
@@ -422,7 +417,7 @@ def f_and_S(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, delta: tm.EpsLeaf):
 # g-maps
 
 
-def g_map(ctx, n: int, alpha: tm.EpsLeaf, c: tm.EpsLeaf) -> SubstMap:
+def g_map(n: int, alpha: tm.EpsLeaf, c: tm.EpsLeaf) -> SubstMap:
     """The interval-transport substitution g(n, alpha, c)."""
     if n < 1:
         raise LevelViolation("g-map level must be >= 1")

@@ -76,7 +76,7 @@ def test_criterion_2_n1_base_case():
     checked_domains = checked_T = checked_comp = 0
     for alpha in pool:
         for c in pool:
-            g = g_map(ctx, 1, alpha, c)
+            g = g_map(1, alpha, c)
             assert tm.eq(apply_subst(tm.Leaf(alpha), g), tm.Leaf(c))
             # Dom g(1, alpha, c) = (E inside c inside alpha) plus {alpha}
             for probe in pool:
@@ -94,8 +94,8 @@ def test_criterion_2_n1_base_case():
         for di in range(ci, 7):
             for ai in range(di, 7):
                 c, d, alpha = pool[ci], pool[di], pool[ai]
-                comp = compose_maps(g_map(ctx, 1, d, c), g_map(ctx, 1, alpha, d))
-                assert compare_maps(comp, g_map(ctx, 1, alpha, c)) is MapOrder.EQ
+                comp = compose_maps(g_map(1, d, c), g_map(1, alpha, d))
+                assert compare_maps(comp, g_map(1, alpha, c)) is MapOrder.EQ
                 checked_comp += 1
     report(
         2,
@@ -147,10 +147,10 @@ def test_criterion_4_eta_l_coherence(eps0_grid, eps0_rel):
     for t in rel.grid.points:
         if not (tm.lt(lo, t) and tm.lt(t, rel.grid.points[-1])):
             continue
-        eta = eta_compute(1, alpha, t, rel=rel)
-        ell = l_compute(1, alpha, t, rel=rel)
+        eta = eta_compute(rel, 1, alpha, t)
+        ell = l_compute(rel, 1, alpha, t)
         assert tm.eq(rel.m_hat(ell), eta)
-        assert tm.eq(eta_compute(1, alpha, eta, rel=rel), eta)
+        assert tm.eq(eta_compute(rel, 1, alpha, eta), eta)
         three_cases = (
             tm.eq(ell, lo)
             or tm.eq(ell, tm.pi_head(t))
@@ -186,7 +186,7 @@ def test_criterion_5_chain_and_T_structure():
             for src, dst in ((atoms[2][0], atoms[2][1]), (atoms[3][0], atoms[3][1])):
                 if tm.leaf_level(src) < i:
                     continue
-                g = g_map(ctx, i, src, dst)
+                g = g_map(i, src, dst)
                 gsrc = canonical_point(ctx, i, src, j).gamma
                 gdst = canonical_point(ctx, i, dst, j).gamma
                 assert tm.eq(apply_subst(gsrc, g), gdst)
@@ -241,22 +241,22 @@ def test_criterion_7_hierarchy_equivalence(anchor_rel):
             if tm.le(tm.Leaf(alpha), p)
             and tm.lt(p, tm.Leaf(tm.mk_succ(alpha, 1)))
         ]
-        prev = G_sample(2, alpha, window[0], universe, rel=rel)
+        prev = G_sample(rel, 2, alpha, window[0], universe)
         for l, t_next in zip(window, window[1:]):
             if not tm.eq(tm.add(l, tm.one()), t_next):
-                prev = G_sample(2, alpha, t_next, universe, rel=rel)
+                prev = G_sample(rel, 2, alpha, t_next, universe)
                 continue
-            step = A_successor_step(2, alpha, l, prev, rel=rel)
-            gside = G_sample(2, alpha, t_next, universe, rel=rel)
+            step = A_successor_step(rel, 2, alpha, l, prev)
+            gside = G_sample(rel, 2, alpha, t_next, universe)
             assert step.members == gside.members
             instances += len(universe)
-            if tm.eq(eta_compute(1, alpha, l, rel=rel), l):
+            if tm.eq(eta_compute(rel, 1, alpha, l), l):
                 eta_fixed += len(universe)
             prev = gside
         # degenerate interval: G reduces to the sample-relative Lim rule
         for t in (tm.Leaf(alpha), tm.mul(tm.Leaf(alpha), tm.nat(2))):
-            gside = G_sample(2, alpha, t, universe, rel=rel)
-            lim_side = A_degenerate(2, alpha, t, universe, rel=rel)
+            gside = G_sample(rel, 2, alpha, t, universe)
+            lim_side = A_degenerate(rel, 2, alpha, t)
             assert gside.members == lim_side.members
     report(
         7,

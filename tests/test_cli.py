@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
-from ordclass.errors import OrdinalError
+from ordclass.errors import MissingMValue, OrdinalError
 from ordclass.grammar import parse_ord, render_leaf, render_ord
 from ordclass.oracle import Leq1Relation
 
@@ -375,9 +375,9 @@ def test_g_membership_below_level_2_is_a_domain_error(tmp_path, capsys, verb, n)
 def test_gset_queries_each_point_once(monkeypatch):
     calls = []
 
-    def counted(n, alpha, t, beta, **kwargs):
+    def counted(source, n, alpha, t, beta):
         calls.append(render_leaf(beta))
-        return membership(n, alpha, t, beta, **kwargs)
+        return membership(source, n, alpha, t, beta)
 
     membership = hierarchy.G_membership
     for module in (cli, hierarchy):
@@ -387,6 +387,42 @@ def test_gset_queries_each_point_once(monkeypatch):
     text, payload = run_command(session, "gset 2 eps(1) eps(1)*2 g")
     assert calls == [row["beta"] for row in payload["queries"]] == ["eps(0)", "eps(1)"]
     assert text == "{" + ", ".join(payload["members"]) + "}"
+
+
+def test_grid_epsilons_are_found_once_per_grid(monkeypatch):
+    """gset, astep and classdetect read the grid's epsilon points from
+    Grid.epsilons: once it is filled, no command tests a point again."""
+    session = Session()
+    run_command(session, "grid g eps(2) eps(0) eps(1)")
+    commands = ("gset 2 eps(1) eps(1)*2 g", "astep 2 eps(1) eps(1)*2 g", "classdetect g 1")
+    first = [run_command(session, command) for command in commands]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return is_epsilon(t)
+
+    is_epsilon = tm.is_epsilon
+    monkeypatch.setattr(tm, "is_epsilon", counted)
+    assert [run_command(session, command) for command in commands] == first
+    assert calls == []
+    grid = session.grids["g"].grid
+    assert [grid.rendered[i] for i in grid.epsilons] == ["eps(0)", "eps(1)"]
+
+
+def test_a_grid_argument_leaves_the_context_alone():
+    """canon with a grid reads the grid's m-hat and annotates nothing, so a
+    structural eta after it still finds no m-value, as in a fresh session."""
+    command = "eta 1 eps(0) w^(w^(eps(0)+1))"
+    session = Session()
+    run_command(session, "grid g eps(1) eps(0)")
+    text, _ = run_command(session, "canon 1 eps(0) 2 g")
+    assert text == "x = w^(w^(eps(0)+1)), gamma = w^(w^(eps(0)+1))"
+    assert session.context.m_table == {}
+    for fresh in (session, Session()):
+        with pytest.raises(MissingMValue):
+            run_command(fresh, command)
+    assert run_command(session, command + " g")[0] == "w^(w^(eps(0)+1))"
 
 
 def test_a_product_too_long_to_print_is_a_domain_error(capsys):

@@ -77,13 +77,13 @@ def test_class_level():
 
 def test_lambda_locate():
     ctx = ClassContext()
-    assert lambda_locate(ctx, 1, e("eps(0)*2")) == EPS[0]
+    assert lambda_locate(1, e("eps(0)*2")) == EPS[0]
     A = ctx.declare("A", 2)
     t = tm.Leaf(tm.mk_succ(A, 1))
-    assert lambda_locate(ctx, 2, t) == A
-    assert lambda_locate(ctx, 1, e("w")) is NEG_INFINITY
-    assert lambda_locate(ctx, 1, tm.Leaf(EPS[2])) == EPS[2]
-    assert lambda_locate(ctx, 2, e("eps(2)*2")) is NEG_INFINITY
+    assert lambda_locate(2, t) == A
+    assert lambda_locate(1, e("w")) is NEG_INFINITY
+    assert lambda_locate(1, tm.Leaf(EPS[2])) == EPS[2]
+    assert lambda_locate(2, e("eps(2)*2")) is NEG_INFINITY
 
 
 def test_lambda_undecidable_for_symbolic_gaps():
@@ -91,7 +91,7 @@ def test_lambda_undecidable_for_symbolic_gaps():
     ctx.declare("B", 3)
     A = ctx.declare("A", 2)
     with pytest.raises(Undecidable):
-        lambda_locate(ctx, 3, tm.Leaf(A))
+        lambda_locate(3, tm.Leaf(A))
 
 
 def test_m_rules():

@@ -129,8 +129,8 @@ def _step(ctx, step):
     return [
         _outcome(ctx.leaves_between, lo, hi, 1 + r[5] % 3),
         _outcome(_structural_candidates, ctx, k, alpha, t),
-        _outcome(lambda: eta_compute(k, alpha, t, ctx=ctx)),
-        _outcome(lambda: l_compute(k, alpha, t, ctx=ctx)),
+        _outcome(lambda: eta_compute(ctx, k, alpha, t)),
+        _outcome(lambda: l_compute(ctx, k, alpha, t)),
         _outcome(T_set, ctx, k, alpha, t),
     ]
 
@@ -184,7 +184,7 @@ def test_level3_queries_use_the_index():
                 assert ctx.leaf_terms_in(tm.Leaf(A), t) is not None
                 assert _structural_candidates(ctx, 3, A, t) == _scan_candidates(ctx, 3, A, t)
                 for fn in (eta_compute, l_compute):
-                    assert fn(3, A, t, ctx=ctx) == fn(3, A, t, ctx=ref)
+                    assert fn(ctx, 3, A, t) == fn(ref, 3, A, t)
                 assert T_set(ctx, 3, A, t) == T_set(ref, 3, A, t)
     lo, hi = tm.Leaf(EPS[0]), tm.Leaf(ctx.atom("B"))
     assert ctx.leaves_between(lo, hi) == ctx.scan_leaves_between(lo, hi)
@@ -225,7 +225,7 @@ def test_undecidable_leaves_drop_the_index(built_first):
     assert ctx.leaves_between(lo, hi) == (EPS[1],) == ctx.scan_leaves_between(lo, hi)
     # the scan still answers where it can order every leaf against the ends
     t = tm.mul(tm.Leaf(EPS[0]), tm.nat(3))
-    assert eta_compute(1, EPS[0], t, ctx=ctx) == t
+    assert eta_compute(ctx, 1, EPS[0], t) == t
     # ...and fails where it must compare the two undecidable leaves
     with pytest.raises(OrderUndecidable):
         ctx.leaves_between(tm.Leaf(B), tm.mul(tm.Leaf(B), tm.nat(2)))
@@ -257,7 +257,7 @@ def test_index_answers_where_the_scan_cannot():
     with pytest.raises(OrderUndecidable):
         _scan_candidates(ctx, 1, A, t)
     assert _structural_candidates(ctx, 1, A, t) == {t: t}
-    assert eta_compute(1, A, t, ctx=ctx) == t
+    assert eta_compute(ctx, 1, A, t) == t
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_ranked_eta_ell_match_the_term_loop(annotations):
     for k, i in queries:
         t = _pick(keys + [tm.mul(r, tm.nat(2)) for r in keys], i)
         for fn in (eta_compute, l_compute):
-            _agree(_outcome(lambda: fn(k, E, t, ctx=ctx)), _outcome(lambda: fn(k, E, t, ctx=ref)))
+            _agree(_outcome(lambda: fn(ctx, k, E, t)), _outcome(lambda: fn(ref, k, E, t)))
 
 
 def _annotate(ctx, pairs):
@@ -363,9 +363,9 @@ def test_rank_table_answers_where_the_term_loop_cannot():
     t = tm.mul(tm.Leaf(E), tm.nat(3))
     for fn in (eta_compute, l_compute):
         with pytest.raises(OrderUndecidable):
-            fn(1, E, t, ctx=ref)
-    assert eta_compute(1, E, t, ctx=ctx) == tm.mul(tm.Leaf(ctx.atom("A")), tm.nat(2))
-    assert l_compute(1, E, t, ctx=ctx) == t
+            fn(ref, 1, E, t)
+    assert eta_compute(ctx, 1, E, t) == tm.mul(tm.Leaf(ctx.atom("A")), tm.nat(2))
+    assert l_compute(ctx, 1, E, t) == t
 
 
 def test_undecidable_values_drop_the_rank_table():
@@ -381,8 +381,8 @@ def test_undecidable_values_drop_the_rank_table():
     e = tm.Leaf(E)
     for t in (tm.add(tm.mul(e, tm.nat(2)), tm.one()), tm.mul(e, tm.nat(3))):
         for fn in (eta_compute, l_compute):
-            assert _outcome(lambda: fn(1, E, t, ctx=ctx)) == _outcome(lambda: fn(1, E, t, ctx=ref))
-    assert eta_compute(1, E, tm.add(tm.mul(e, tm.nat(2)), tm.one()), ctx=ctx) == _spaced_annotations(ctx)[0][1]
+            assert _outcome(lambda: fn(ctx, 1, E, t)) == _outcome(lambda: fn(ref, 1, E, t))
+    assert eta_compute(ctx, 1, E, tm.add(tm.mul(e, tm.nat(2)), tm.one())) == _spaced_annotations(ctx)[0][1]
     # the next set_m lets the table be tried again
     ctx.set_m(tm.mul(e, tm.nat(4)), tm.mul(tm.Leaf(ctx.atom("D")), tm.nat(3)))
     assert ctx._m_ranks is None
@@ -409,8 +409,8 @@ def test_undecidable_unranked_value_reruns_the_term_loop():
     with pytest.raises(OrderUndecidable):
         _greatest(triples)
     for fn in (eta_compute, l_compute):
-        got = _outcome(lambda: fn(2, E, t, ctx=ctx))
-        assert got == ("raised", OrderUndecidable) == _outcome(lambda: fn(2, E, t, ctx=ref))
+        got = _outcome(lambda: fn(ctx, 2, E, t))
+        assert got == ("raised", OrderUndecidable) == _outcome(lambda: fn(ref, 2, E, t))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,8 @@ def _answers(ctx):
                        tm.omega_tower(tm.mk_canonical(1, tm.mk_canonical(2, A, k), k), k - 1))
         for t in (gamma, tm.add(gamma, tm.one())):
             out.append(_outcome(T_set, ctx, 3, A, t))
-            out.append(_outcome(lambda: eta_compute(3, A, t, ctx=ctx)))
-            out.append(_outcome(lambda: l_compute(3, A, t, ctx=ctx)))
+            out.append(_outcome(lambda: eta_compute(ctx, 3, A, t)))
+            out.append(_outcome(lambda: l_compute(ctx, 3, A, t)))
     return out
 
 

@@ -25,8 +25,14 @@ from oracle_reference import (
 )
 from ordclass import terms as tm
 from ordclass.cli import _render
-from ordclass.context import chain_bound
-from ordclass.errors import GridCapExceeded, OrderUndecidable, OrdinalError
+from ordclass.context import ClassContext, chain_bound
+from ordclass.errors import (
+    GridCapExceeded,
+    LevelViolation,
+    MissingMValue,
+    OrderUndecidable,
+    OrdinalError,
+)
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.skeleton import eta_compute, l_compute
 from ordclass.oracle import (
@@ -365,7 +371,7 @@ def assert_grid_eta_ell_match_reference(rel, alphas):
             for t in (*points, copy.deepcopy(points[-1]), *_probes(alpha, k)):
                 for fast, slow in ((eta_compute, reference_eta), (l_compute, reference_ell)):
                     got = _text_outcome(
-                        lambda: fast(k, alpha, t, rel=rel), lambda v: _render(rel, v)
+                        lambda: fast(rel, k, alpha, t), lambda v: _render(rel, v)
                     )
                     want = _text_outcome(lambda: slow(k, alpha, t, rel), render_ord)
                     assert got == want, (fast.__name__, k, alpha, t)
@@ -415,3 +421,60 @@ def test_grid_eta_ell_match_the_reference_on_drawn_grids(ops, bound, seeds):
     except (GridCapExceeded, OrderUndecidable):
         reject()
     assert_grid_eta_ell_match_reference(leq1_fixpoint(grid), [EPS[0], EPS[7], *ATOM_ALPHAS])
+
+
+# ---------------------------------------------------------------------------
+# the two regimes: a context annotated with a grid's m-hat against the grid
+
+
+def _regime_outcomes(rel, ctx):
+    """{(operator, alpha, t): (grid outcome, context outcome)} at k = 1, for
+    every grid epsilon alpha and grid point t, as text or exception type."""
+    def outcome(fn, render):
+        try:
+            return render(fn())
+        except OrdinalError as exc:
+            return type(exc)
+
+    points = rel.grid.points
+    out = {}
+    for fn in (eta_compute, l_compute):
+        for alpha in (points[i].leaf for i in rel.grid.epsilons):
+            for t in points:
+                key = (fn.__name__, render_ord(tm.Leaf(alpha)), render_ord(t))
+                out[key] = (
+                    outcome(lambda: fn(rel, 1, alpha, t), lambda v: _render(rel, v)),
+                    outcome(lambda: fn(ctx, 1, alpha, t), render_ord),
+                )
+    return out
+
+
+def _annotated(rel, keep):
+    """A fresh context with m = m-hat at every principal point that is no
+    grid-edge point and that keep admits."""
+    ctx = ClassContext()
+    for p in rel.grid.points:
+        if tm.classify(p).is_principal and not rel.boundary_suspect(p) and keep(p):
+            ctx.set_m(p, rel.m_hat(p))
+    return ctx
+
+
+@pytest.mark.parametrize("g, values", [(1, 42), (2, 120), (3, 234)])
+def test_the_two_regimes_agree_on_anchor_grids(g, values, anchor_rel):
+    """Given the grid's m-hat, the structural eta/l answer as the grid does
+    at every grid point; given it at the epsilons only, they miss exactly
+    the two towers w^(alpha+1) and w^(w^(alpha+1)) of each alpha, which the
+    grid answers with the tower itself."""
+    rel = anchor_rel if g == 3 else leq1_fixpoint(build_grid(*anchor_args(g), ANCHOR_OPS))
+    full = _regime_outcomes(rel, _annotated(rel, lambda p: True))
+    assert all(grid == ctx for grid, ctx in full.values())
+    kinds = [grid for grid, _ in full.values()]
+    assert len(kinds) - kinds.count(LevelViolation) == 2 * values
+    sparse = _regime_outcomes(rel, _annotated(rel, tm.is_epsilon))
+    differ = {key: pair for key, pair in sparse.items() if pair[0] != pair[1]}
+    towers = [(i, render_ord(tm.omega_tower(EPS[i], j))) for i in range(g) for j in (1, 2)]
+    assert differ == {
+        (op, render_ord(tm.Leaf(EPS[i])), text): (text, MissingMValue)
+        for op in ("eta_compute", "l_compute")
+        for i, text in towers
+    }

@@ -28,64 +28,56 @@ def ctx3():
 
 def test_eta_degenerate_cases(ctx3):
     assert tm.eq(
-        eta_compute(1, EPS[0], e("eps(0)*2"), ctx=ClassContext()), e("eps(0)*2")
+        eta_compute(ClassContext(), 1, EPS[0], e("eps(0)*2")), e("eps(0)*2")
     )
     A = ctx3.atom("A")
     chain = chain_down(ctx3, A)
     t = tm.Leaf(chain[2])
     expected = tm.mul(tm.Leaf(chain[2]), tm.nat(2))
-    assert tm.eq(eta_compute(3, A, t, ctx=ctx3), expected)
+    assert tm.eq(eta_compute(ctx3, 3, A, t), expected)
 
 
 def test_eta_preconditions(ctx3):
     with pytest.raises(LevelViolation):
-        eta_compute(2, EPS[0], e("eps(0)"), ctx=ctx3)
+        eta_compute(ctx3, 2, EPS[0], e("eps(0)"))
     with pytest.raises(LevelViolation):
-        eta_compute(1, EPS[0], e("eps(1)*2"), ctx=ctx3)
-    with pytest.raises(RegimeMixed):
-        eta_compute(1, EPS[0], e("eps(0)*2"))
+        eta_compute(ctx3, 1, EPS[0], e("eps(1)*2"))
 
 
 def test_eta_structural_needs_m(ctx3):
     with pytest.raises(MissingMValue):
-        eta_compute(1, EPS[0], tm.omega_tower(EPS[0], 2), ctx=ClassContext())
+        eta_compute(ClassContext(), 1, EPS[0], tm.omega_tower(EPS[0], 2))
 
 
 def test_l_cases():
     ctx = ClassContext()
-    assert tm.eq(l_compute(1, EPS[0], e("eps(0)+5"), ctx=ctx), e("eps(0)*2"))
+    assert tm.eq(l_compute(ctx, 1, EPS[0], e("eps(0)+5")), e("eps(0)*2"))
 
 
 def test_eta_l_oracle(eps0_rel):
     rel = eps0_rel
     t = tm.omega_tower(EPS[0], 2)
-    eta = eta_compute(1, EPS[0], t, rel=rel)
+    eta = eta_compute(rel, 1, EPS[0], t)
     assert tm.eq(eta, rel.m_hat(t))
     # eta is its own eta
-    assert tm.eq(eta_compute(1, EPS[0], eta, rel=rel), eta)
-    ell = l_compute(1, EPS[0], t, rel=rel)
+    assert tm.eq(eta_compute(rel, 1, EPS[0], eta), eta)
+    ell = l_compute(rel, 1, EPS[0], t)
     assert tm.eq(rel.m_hat(ell), eta)
 
 
-def test_a_call_reads_the_grid_if_given_else_the_context(eps0_rel):
+def test_a_call_reads_m_from_its_one_source(eps0_rel):
     rel = eps0_rel
     t = tm.omega_tower(EPS[0], 2)
     for fn in (eta_compute, l_compute):
-        with pytest.raises(RegimeMixed):
-            fn(1, EPS[0], t)
+        # the grid answers where the context has no m-value
         with pytest.raises(MissingMValue):
-            fn(1, EPS[0], t, ctx=ClassContext())
-        # given both, a call reads the grid and leaves the context alone
-        ctx = ClassContext()
-        assert tm.eq(fn(1, EPS[0], t, ctx=ctx, rel=rel), fn(1, EPS[0], t, rel=rel))
-        assert not ctx.m_table
-    with pytest.raises(RegimeMixed):
-        canonical_point(None, 1, EPS[0], 2)
+            fn(ClassContext(), 1, EPS[0], t)
+        assert fn(rel, 1, EPS[0], t) in rel.grid
+    data = canonical_point(rel, 1, EPS[0], 2)
+    assert tm.eq(data.gamma, rel.m_hat(data.x))
     ctx = ClassContext()
-    data = canonical_point(ctx, 1, EPS[0], 2, rel=rel)
-    assert tm.eq(data.gamma, rel.m_hat(data.x)) and not ctx.m_table
     with pytest.raises(RegimeMixed):
-        canonical_point(ctx, 2, ctx.declare("A", 2), 2, rel=rel)  # grids carry level 1 only
+        canonical_point(rel, 2, ctx.declare("A", 2), 2)  # grids carry level 1 only
 
 
 def test_canonical_tower_case():
@@ -106,7 +98,7 @@ def test_canonical_tower_case():
 def test_canonical_gamma_is_eta_fixed(ctx3):
     A = ctx3.atom("A")
     data = canonical_point(ctx3, 2, A, 2)
-    assert tm.eq(eta_compute(2, A, data.gamma, ctx=ctx3), data.gamma)
+    assert tm.eq(eta_compute(ctx3, 2, A, data.gamma), data.gamma)
 
 
 def test_canonical_chain_structure(ctx3):
@@ -156,8 +148,8 @@ def test_T_monotone_laws(ctx3):
     data = canonical_point(ctx3, 3, A, 2)
     t = data.gamma
     a = tm.Leaf(A)
-    eta = eta_compute(3, A, t, ctx=ctx3)
-    ell = l_compute(3, A, t, ctx=ctx3)
+    eta = eta_compute(ctx3, 3, A, t)
+    ell = l_compute(ctx3, 3, A, t)
     T_t = set(T_set(ctx3, 3, A, t).intersect_below(A))
     T_eta = set(T_set(ctx3, 3, A, eta).intersect_below(A))
     assert T_eta <= T_t
@@ -179,18 +171,16 @@ def test_f_and_S():
 
 
 def test_g_map_n1_exact():
-    ctx = ClassContext()
-    g = g_map(ctx, 1, EPS[5], EPS[2])
+    g = g_map(1, EPS[5], EPS[2])
     assert tm.eq(apply_subst(tm.Leaf(EPS[5]), g), tm.Leaf(EPS[2]))
     assert tm.eq(apply_subst(tm.Leaf(EPS[1]), g), tm.Leaf(EPS[1]))
-    ident = g_map(ctx, 1, EPS[3], EPS[3])
+    ident = g_map(1, EPS[3], EPS[3])
     for k in range(4):
         assert tm.eq(apply_subst(tm.Leaf(EPS[k]), ident), tm.Leaf(EPS[k]))
 
 
 def test_g_map_domain_condition():
-    ctx = ClassContext()
-    g = g_map(ctx, 1, EPS[5], EPS[2])
+    g = g_map(1, EPS[5], EPS[2])
     # Ep(t) inside Dom g iff T(1, alpha, t) below alpha inside c
     for text in ["eps(5)*2+eps(1)", "eps(5)+eps(3)", "eps(4)", "eps(0)+w"]:
         t = e(text)
@@ -200,8 +190,7 @@ def test_g_map_domain_condition():
 
 
 def test_g_map_increasing_and_T_coherence():
-    ctx = ClassContext()
-    g = g_map(ctx, 1, EPS[5], EPS[2])
+    g = g_map(1, EPS[5], EPS[2])
     rng = seeded(7)
     pool = [EPS[0], EPS[1], EPS[5]]
     pts = []
@@ -224,9 +213,9 @@ def test_g_map_eta_commutes_structural(ctx3):
     A, B = ctx.atom("A"), ctx.atom("B")
     dA = canonical_point(ctx, 3, A, 2)
     dB = canonical_point(ctx, 3, B, 2)
-    g = g_map(ctx, 3, A, B)
-    etaA = eta_compute(3, A, dA.gamma, ctx=ctx)
-    etaB = eta_compute(3, B, dB.gamma, ctx=ctx)
+    g = g_map(3, A, B)
+    etaA = eta_compute(ctx, 3, A, dA.gamma)
+    etaB = eta_compute(ctx, 3, B, dB.gamma)
     assert tm.eq(apply_subst(etaA, g), etaB)
 
 
@@ -235,10 +224,10 @@ def test_g_map_composition_triangle(ctx3):
     for level in (1, 2, 3):
         names = [f"L{level}X", f"L{level}Y", f"L{level}Z"]
         c, d, alpha = (ctx.declare(n, level) for n in names)
-        gac = g_map(ctx, level, alpha, c)
-        comp = compose_maps(g_map(ctx, level, d, c), g_map(ctx, level, alpha, d))
+        gac = g_map(level, alpha, c)
+        comp = compose_maps(g_map(level, d, c), g_map(level, alpha, d))
         assert compare_maps(comp, gac) is MapOrder.EQ
-        assert compare_maps(invert_map(gac), g_map(ctx, level, c, alpha)) is MapOrder.EQ
+        assert compare_maps(invert_map(gac), g_map(level, c, alpha)) is MapOrder.EQ
 
 
 def test_gamma_transport_law(ctx3):
@@ -253,13 +242,13 @@ def test_gamma_transport_law(ctx3):
         for j in (1, 2, 3):
             d_src = canonical_point(ctx, i, src, j)
             d_dst = canonical_point(ctx, i, dst, j)
-            g = g_map(ctx, i, src, dst)
+            g = g_map(i, src, dst)
             assert tm.eq(apply_subst(d_src.gamma, g), d_dst.gamma)
 
 
 def test_g_map_levels_checked(ctx3):
     with pytest.raises(LevelViolation):
-        g_map(ctx3, 2, EPS[0], ctx3.atom("A"))
+        g_map(2, EPS[0], ctx3.atom("A"))
 
 
 def test_T_set_missing_m_is_loud():
