@@ -43,8 +43,7 @@ def time_script(lines):
     times = {}
     clock = time.perf_counter
     for line in lines:
-        if line.startswith("@format "):
-            session.output_format = line.split()[1]
+        if line.startswith("@"):  # a harness directive, not a command
             continue
         start = clock()
         try:

@@ -34,7 +34,6 @@ from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 class Session:
     context: ClassContext = field(default_factory=ClassContext)
     grids: dict = field(default_factory=dict)  # name -> Leq1Relation
-    output_format: str = "text"
     cache_dir: str | None = None
     grid_cap: int = 400
 
@@ -229,8 +228,11 @@ def _cmd_leq1(session, rel, a, b):
 
 @_verb("GRID T")
 def _cmd_mhat(session, rel, t):
-    value = rel.grid.rendered[rel.frontiers[rel.grid.index(t)]]
-    return value, {"m_hat": value}
+    grid = rel.grid
+    f = rel.frontiers[grid.index(t)]
+    value = grid.rendered[f]
+    # the frontier at the grid edge (Leq1Relation.boundary_suspect)
+    return value, {"m_hat": value, "boundary": f == len(grid.points) - 1}
 
 
 @_verb("GRID J")
@@ -274,8 +276,10 @@ def _cmd_astep(session, n, alpha, l, rel):
 
 @_verb("GRID FILE")
 def _cmd_export(session, rel, path):
+    """A FILE named *.dot gets the DOT covering relation, any other the
+    JSON dump."""
     with open(path, "w") as fh:
-        if session.output_format == "dot":
+        if path.endswith(".dot"):
             fh.write(rel.to_dot())
         else:
             json.dump(rel.to_json(), fh, sort_keys=True, indent=1)
@@ -292,9 +296,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--context", help="context JSON file to load")
     parser.add_argument("--script", help="batch script, one command per line")
-    parser.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text"
-    )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--cache-dir", default=os.environ.get("ORDCLASS_CACHE_DIR")
     )
@@ -302,11 +304,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="*", help="a single command")
     ns = parser.parse_args(argv)
 
-    session = Session(
-        output_format=ns.format,
-        cache_dir=ns.cache_dir,
-        grid_cap=ns.grid_cap,
-    )
+    session = Session(cache_dir=ns.cache_dir, grid_cap=ns.grid_cap)
     try:
         if ns.context:
             session.context = ClassContext.load(ns.context)
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
             if not command or command.startswith("#"):
                 continue
             text, payload = run_command(session, command)
-            if session.output_format == "json" and payload is not None:
+            if ns.format == "json" and payload is not None:
                 print(json.dumps(payload, sort_keys=True))
             elif text:
                 print(text)

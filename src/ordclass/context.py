@@ -118,10 +118,6 @@ class ClassContext:
         except KeyError:
             raise UndeclaredAtom(name) from None
 
-    @property
-    def n_max(self) -> int:
-        return max((a.level for a in self.atoms.values()), default=1)
-
     def register(self, leaf: tm.EpsLeaf):
         if leaf not in self.known_leaves:
             self.known_leaves[leaf] = None

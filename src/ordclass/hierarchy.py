@@ -29,7 +29,6 @@ class HierarchySet:
     base: tm.EpsLeaf
     t: tm.OrdTerm
     members: tuple
-    sample_relative: bool = True
 
 
 def _t_below(source, k, alpha, t):

@@ -144,10 +144,6 @@ def make_map(pairs, threshold=None, rebase=None) -> SubstMap:
     return SubstMap(tuple(pairs), threshold, rebase)
 
 
-def identity_map() -> SubstMap:
-    return SubstMap(())
-
-
 def apply_subst(x: tm.OrdTerm, f: SubstMap) -> tm.OrdTerm:
     """x[f]: replace every epsilon leaf of the normal form through f."""
     if isinstance(x, tm.Leaf):
@@ -254,22 +250,3 @@ def compare_maps(f: SubstMap, g: SubstMap) -> MapOrder:
     if saw_gt:
         return MapOrder.GT
     return MapOrder.EQ
-
-
-def map_from_json(data, atoms=None) -> SubstMap:
-    from .grammar import parse_ord
-
-    def leaf_of(text):
-        t = parse_ord(text, atoms)
-        if not isinstance(t, tm.Leaf):
-            raise MapInvalid(f"{text!r} is not an epsilon leaf")
-        return t.leaf
-
-    pairs = [(leaf_of(s), leaf_of(d)) for s, d in data.get("overrides", ())]
-    threshold = None
-    if data.get("rule") in ("identity-below", "rebase-above"):
-        threshold = leaf_of(data["threshold"]) if "threshold" in data else None
-    rebase = None
-    if data.get("rule") == "rebase-above":
-        rebase = (int(data["level"]), leaf_of(data["from"]), leaf_of(data["to"]))
-    return SubstMap(tuple(pairs), threshold, rebase)

@@ -120,15 +120,54 @@ def test_gset_astep_and_export(tmp_path, capsys):
     assert code == 0
     data = json.loads(js.read_text())
     assert set(data) == {"points", "frontiers", "matrix", "rounds"}
-    code, out, _ = run(
-        capsys, "--format", "dot", "--script", str(script)
-    )
-    assert code == 0
+    script.write_text(script.read_text().replace(str(js), str(dot)))
+    code, out, _ = run(capsys, "--script", str(script))
+    assert code == 0 and dot.read_text().startswith("digraph leq1")
 
+    dot.unlink()
     script2 = tmp_path / "s2.txt"
     script2.write_text(f"grid g eps(1) eps(0)\nexport g {dot}\n")
-    code, _, _ = run(capsys, "--format", "dot", "--script", str(script2))
+    code, _, _ = run(capsys, "--format", "json", "--script", str(script2))
     assert code == 0 and dot.read_text().startswith("digraph leq1")
+
+
+def test_format_dot_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "dot", "eval", "1"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_export_format_follows_the_file_name(tmp_path, capsys, fmt):
+    """A FILE ending in .dot gets the DOT covering relation, any other name
+    the JSON dump, whatever --format prints on stdout."""
+    names = ["g.dot", "g.json.dot", "g.json", "g.dot.json", "g.DOT", "g"]
+    body = "grid g eps(1) eps(0)\n" + "".join(f"export g {tmp_path / n}\n" for n in names)
+    code, out, err = run(capsys, "--format", fmt, "--script", _script(tmp_path, body))
+    assert code == 0, err
+    session = Session()
+    run_command(session, "grid g eps(1) eps(0)")
+    rel = session.grids["g"]
+    dot = rel.to_dot()
+    dump = json.dumps(rel.to_json(), sort_keys=True, indent=1) + "\n"
+    for name in names:
+        want = dot if name.endswith(".dot") else dump
+        assert (tmp_path / name).read_text() == want, name
+
+
+def test_mhat_flags_the_grid_edge_as_boundary_suspect(anchor_rel):
+    """mhat's payload says whether the frontier reaches the grid edge, as
+    Leq1Relation.boundary_suspect does, on every point of the eps(3) grid."""
+    session = Session()
+    session.grids["g"] = anchor_rel
+    grid = anchor_rel.grid
+    flags = []
+    for text, point in zip(grid.rendered, grid.points):
+        text_out, payload = run_command(session, f"mhat g {text}")
+        assert payload == {"m_hat": text_out, "boundary": anchor_rel.boundary_suspect(point)}
+        flags.append(payload["boundary"])
+    assert 0 < flags.count(True) < len(flags)
 
 
 def test_json_format_deterministic(tmp_path, capsys):
@@ -336,7 +375,7 @@ _ARGV_WORDS = (
     + ["--context", "--script", "--format", "--cache-dir", "--grid-cap", "--help", "-h"]
     + ["text", "json", "dot", "g", "h", "A", "B", "0", "1", "2", "3", "-1", "x"]
     + ["eps(0)", "eps(1)", "eps(0)*2", "eps(0)*2+1", "w^(eps(0)+1)", "A@1", "A@2", "A@1(+1)"]
-    + ["cp(2,1,A@2)", "w^", "(", ")", "'", '"', "\\", "#", "g.json", "nowhere/x.json"]
+    + ["cp(2,1,A@2)", "w^", "(", ")", "'", '"', "\\", "#", "g.json", "g.dot", "nowhere/x.json"]
 )
 
 
@@ -626,3 +665,18 @@ def test_random_commands_return_or_raise_domain_errors(command):
         run_command(session, command)
     except OrdinalError:
         pass
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an ALPHA/E/C argument is registered in the context (cli._leaf), and "
+    "structural eta then counts that leaf as a candidate",
+)
+def test_symbolic_answers_do_not_depend_on_query_history():
+    session = Session()
+    run_command(session, "declare A 3")
+    command = "eta 2 A@3 A@3(+1)(+1)+1"
+    first = run_command(session, command)
+    assert first[0] == "A@3(+1)(+1)+1"
+    run_command(session, "tset 1 A@3(+1)(+1) A@3(+1)(+1)")
+    assert run_command(session, command) == first  # A@3(+1)(+1)*2 today

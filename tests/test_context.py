@@ -22,7 +22,6 @@ def test_declare_ranks_increase():
     a = ctx.declare("A", 3)
     b = ctx.declare("B", 2)
     assert a.rank < b.rank
-    assert ctx.n_max == 3
     with pytest.raises(LevelViolation):
         ctx.declare("A", 1)
 

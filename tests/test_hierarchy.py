@@ -98,7 +98,6 @@ def test_A_step_at_eta_takes_sample_lim(anchor_rel):
     prev = HierarchySet("A-successor-trace", 2, alpha, l, (EPS[0],))
     step = A_successor_step(anchor_rel, 2, alpha, l, prev)
     assert step.members == ()
-    assert step.sample_relative
 
 
 def test_G_equals_A_trace_on_grid(anchor_rel):

@@ -1,8 +1,10 @@
 """Smoke tests: the scripts run end to end and write what they promise, and
 the benchmark's per-layer tracer still finds the functions it names."""
 
+import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,34 +12,48 @@ from pathlib import Path
 import pytest
 
 from ordclass import cli
+from test_oracle_equivalence import ANCHOR_EXPORTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def test_run_oracle_grid_writes_reports(tmp_path):
+def test_anchor_report_writes_the_exports(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("ORDCLASS_CACHE_DIR", None)
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_oracle_grid.py"), str(tmp_path)],
+        [sys.executable, "-m", "ordclass", "--format", "json",
+         "--script", str(SCRIPTS / "anchor_report.txt")],
         capture_output=True,
         text=True,
         timeout=300,
+        cwd=tmp_path,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "anchors.txt",
         "leq1_covering.dot",
         "leq1_matrix.json",
     ]
-    report = (tmp_path / "anchors.txt").read_text()
-    assert proc.stdout == report
-    assert report.startswith("grid points: 243 (below eps(3))\n")
-    assert "  m_hat(eps(0)) = eps(0)*2\n" in report
-    assert "class_detect(1) = {eps(0), eps(1), eps(2)}\n" in report
-    data = json.loads((tmp_path / "leq1_matrix.json").read_text())
+    payloads = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert payloads[0] == {"grid": "g", "points": 243, "rounds": 2}
+    assert [p for p in payloads if "m_hat" in p] == [
+        {"m_hat": f"eps({g})*2", "boundary": False} for g in range(3)
+    ]
+    detect = [p["class_detect"] for p in payloads if "class_detect" in p]
+    assert [[hit["point"] for hit in hits] for hits in detect] == [
+        ["eps(0)", "eps(1)", "eps(2)"],
+        [],
+    ]
+    matrix = (tmp_path / "leq1_matrix.json").read_text()
+    data = json.loads(matrix)
     assert set(data) == {"points", "frontiers", "matrix", "rounds"}
     assert len(data["frontiers"]) == 243
     dot = (tmp_path / "leq1_covering.dot").read_text()
     assert dot.startswith("digraph leq1 {") and dot.endswith("}\n")
+    # the pinned digest joins the JSON dump, without its final newline, and the DOT
+    export = matrix.removesuffix("\n") + dot
+    assert hashlib.sha256(export.encode()).hexdigest()[:16] == ANCHOR_EXPORTS[3]
 
 
 @pytest.mark.parametrize("level, points", [(3, 4), (2, 2)])
