@@ -40,7 +40,7 @@ def main():
         print("  x  =", render_ord(data.x))
         print("  gamma =", render_ord(data.gamma))
         print("  o-chain =", " > ".join(render_leaf(o) for o in data.o_chain))
-        print("  T-set   =", " > ".join(render_leaf(o) for o in ts.elements))
+        print("  T-set   =", " > ".join(render_leaf(o) for o in ts))
         moved = apply_subst(data.gamma, g)
         other = canonical_point(ctx, ns.level, F, k).gamma
         print("  transport to F agrees:", tm.eq(moved, other))

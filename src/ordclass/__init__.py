@@ -2,7 +2,7 @@
 ordinal arithmetic, the simultaneous epsilon-substitution engine, the class
 hierarchy machinery, and a finite-grid <=1 oracle."""
 
-from .context import NEG_INFINITY, ClassContext, chain_bound, chain_down, class_level, class_succ, lambda_locate
+from .context import NEG_INFINITY, ClassContext, chain_bound, chain_down, lambda_locate
 from .errors import OrdinalError
 from .grammar import parse_ord, render_leaf, render_ord
 from .oracle import Grid, GridOps, Leq1Relation, build_grid, leq1_fixpoint
@@ -27,8 +27,6 @@ __all__ = [
     "canonical_point",
     "chain_bound",
     "chain_down",
-    "class_level",
-    "class_succ",
     "classify",
     "compare",
     "compare_maps",

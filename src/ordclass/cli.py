@@ -26,7 +26,7 @@ from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_membership, G_sample, g_level
-from .oracle import ANCHOR_OPS, build_grid, leq1_cached
+from .oracle import ANCHOR_OPS, GRID_CAP, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
@@ -35,7 +35,7 @@ class Session:
     context: ClassContext = field(default_factory=ClassContext)
     grids: dict = field(default_factory=dict)  # name -> Leq1Relation
     cache_dir: str | None = None
-    grid_cap: int = 400
+    grid_cap: int = GRID_CAP
 
 
 # verb -> handler, and verb -> the names of its arguments, in order: [X] is
@@ -81,6 +81,12 @@ def _text(session, text):
     return text
 
 
+def _file(session, text):
+    if "\0" in text:  # open() raises a ValueError, not an OSError, on it
+        raise OSError(f"NUL byte in file name {text!r}")
+    return text
+
+
 def _render(rel, t):
     """t's text: read off the grid's printed points if t is one of them
     (rel may be None), else printed."""
@@ -95,7 +101,8 @@ _READERS = {
     **dict.fromkeys(("ALPHA", "E", "C"), _leaf),  # registered in the context
     **dict.fromkeys(("EXPR", "T", "A", "B", "L", "BOUND", "SEED"), _term),
     "GRID": _grid,
-    **dict.fromkeys(("NAME", "FILE"), _text),
+    "NAME": _text,
+    "FILE": _file,
 }
 
 
@@ -164,8 +171,7 @@ def _cmd_eval(session, t):
 
 @_verb("N ALPHA T")
 def _cmd_tset(session, n, alpha, t):
-    ts = T_set(session.context, n, alpha, t)
-    names = [render_leaf(e) for e in ts.elements]
+    names = [render_leaf(e) for e in T_set(session.context, n, alpha, t)]
     return "{" + ", ".join(names) + "}", {"t_set": names}
 
 
@@ -264,13 +270,9 @@ def _cmd_gset(session, n, alpha, t, rel):
 def _cmd_astep(session, n, alpha, l, rel):
     universe = [rel.grid.points[i].leaf for i in rel.grid.epsilons]
     prev = G_sample(rel, n, alpha, l, universe)
-    step = A_successor_step(rel, n, alpha, l, prev)
-    names = [render_leaf(b) for b in step.members]
-    payload = {
-        "t": render_ord(step.t),
-        "members": names,
-        "sample_relative": True,
-    }
+    names = [render_leaf(b) for b in A_successor_step(rel, n, alpha, l, prev)]
+    t = render_ord(tm.add(l, tm.one()))
+    payload = {"t": t, "members": names, "sample_relative": True}
     return "{" + ", ".join(names) + "}", payload
 
 
@@ -300,12 +302,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache-dir", default=os.environ.get("ORDCLASS_CACHE_DIR")
     )
-    parser.add_argument("--grid-cap", type=int, default=400)
+    parser.add_argument("--grid-cap", type=int, default=GRID_CAP)
     parser.add_argument("command", nargs="*", help="a single command")
     ns = parser.parse_args(argv)
 
     session = Session(cache_dir=ns.cache_dir, grid_cap=ns.grid_cap)
     try:
+        for path in filter(None, (ns.context, ns.script, ns.cache_dir)):
+            _file(session, path)
         if ns.context:
             session.context = ClassContext.load(ns.context)
         commands = []

@@ -256,14 +256,6 @@ class ClassContext:
 # skeleton basics
 
 
-def class_succ(ctx: ClassContext | None, a: tm.EpsLeaf, k: int) -> tm.EpsLeaf:
-    """a(+^k); for concrete epsilons and k = 1 the next epsilon."""
-    leaf = tm.mk_succ(a, k)
-    if ctx is not None:
-        ctx.register(leaf)
-    return leaf
-
-
 def chain_down(ctx: ClassContext, a: tm.EpsLeaf) -> list[tm.EpsLeaf]:
     """[a_n, ..., a_1] with a_{j-1} = a_j(+^{j-1}); annotates m(a_j) = a_1*2."""
     n = tm.leaf_level(a)
@@ -286,11 +278,6 @@ def chain_bound(a: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     for j in range(k - 1, 0, -1):
         cur = tm.mk_succ(cur, j)
     return tm.mul(tm.Leaf(cur), tm.nat(2))
-
-
-def class_level(x: tm.OrdTerm) -> int:
-    """Largest j with x in Class(j) readable from the leaf structure."""
-    return tm.leaf_level(x.leaf) if isinstance(x, tm.Leaf) else 0
 
 
 def _leading_leaf(t: tm.OrdTerm) -> tm.EpsLeaf | None:

@@ -5,8 +5,9 @@ interval-transport bijection between [r, r(+^k)) and its copy above kappa.
 A call that reads m or T-sets takes one `source`: a grid relation
 (Leq1Relation), which decides level-1 intervals from its m-hat, or a
 ClassContext, which reads its annotations and T-sets.  Every set produced
-here is a finite computed sample; limit operators are sample-relative and
-flagged as such.
+here is a finite computed sample, returned as a tuple of its members;
+limit operators are sample-relative, which the CLI flags with
+`"sample_relative": true` in its payloads.
 """
 
 from __future__ import annotations
@@ -22,23 +23,16 @@ from .subst import apply_subst
 from .terms import GT, LT
 
 
-@dataclass(frozen=True)
-class HierarchySet:
-    kind: str  # G | A-successor-trace | M | S
-    n: int
-    base: tm.EpsLeaf
-    t: tm.OrdTerm
-    members: tuple
-
-
 def _t_below(source, k, alpha, t):
     """The members of T(k, alpha, t) below alpha."""
-    if not isinstance(source, Leq1Relation):
-        return T_set(source, k, alpha, t).intersect_below(alpha)
-    # grid T-sets are Ep-sets, which is the level-1 identity only
-    if k != 1:
-        raise Undecidable(f"grids decide level-1 intervals only, got level {k}")
-    return [e for e in tm.ep_set(t) if tm.compare_leaves(e, alpha) is LT]
+    if isinstance(source, Leq1Relation):
+        # grid T-sets are Ep-sets, which is the level-1 identity only
+        if k != 1:
+            raise Undecidable(f"grids decide level-1 intervals only, got level {k}")
+        ts = tm.ep_set(t)
+    else:
+        ts = T_set(source, k, alpha, t)
+    return [e for e in ts if tm.compare_leaves(e, alpha) is LT]
 
 
 def leq1_query(source, beta: tm.EpsLeaf, v: tm.OrdTerm):
@@ -80,34 +74,30 @@ def G_membership(source, n, alpha, t, beta):
     return leq1_query(source, beta, v)
 
 
-def G_sample(source, n, alpha, t, universe) -> HierarchySet:
+def G_sample(source, n, alpha, t, universe):
+    """The members of the universe in G^{n-1}(t), increasing."""
     g_level(n)  # even if the universe is empty
-    members = []
-    for beta in universe:
-        ok, _ = G_membership(source, n, alpha, t, beta)
-        if ok:
-            members.append(beta)
-    return HierarchySet("G", n, alpha, t, tuple(tm.sort_leaves(members)))
+    return tm.sort_leaves(
+        b for b in universe if G_membership(source, n, alpha, t, b)[0]
+    )
 
 
-def A_successor_step(source, n, alpha, l, prev: HierarchySet) -> HierarchySet:
-    """A^{n-1}(l+1) from A^{n-1}(l): unchanged below the eta fixpoint, else
-    the limit points of A^{n-1}(l), of which a finite sample has none."""
-    k = n - 1
-    eta = eta_compute(source, k, alpha, l)
-    succ_t = tm.add(l, tm.one())
-    members = prev.members if tm.compare(l, eta) is LT else ()
-    return HierarchySet("A-successor-trace", n, alpha, succ_t, members)
+def A_successor_step(source, n, alpha, l, prev):
+    """The members of A^{n-1}(l+1) from those of A^{n-1}(l): unchanged below
+    the eta fixpoint, else the limit points of A^{n-1}(l), of which a finite
+    sample has none."""
+    eta = eta_compute(source, n - 1, alpha, l)
+    return prev if tm.compare(l, eta) is LT else ()
 
 
-def A_degenerate(source, n, alpha, t) -> HierarchySet:
+def A_degenerate(source, n, alpha, t):
     """A^{n-1}(t) on [alpha, chain bound]: Lim Class(n-1) above max(T below alpha).
 
     A finite sample has no limit points, so the set is empty; T below alpha
     is still computed, so a T it cannot decide fails as it would with limits.
     """
     _t_below(source, n - 1, alpha, t)
-    return HierarchySet("A-successor-trace", n, alpha, t, ())
+    return ()
 
 
 def S_interval(source, i, alpha, r, t, universe):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -134,11 +133,15 @@ class Grid:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+# The default number of points at which a grid closure stops.
+GRID_CAP = 400
+
+
 def _sorted_terms(terms_it):
     return tuple(sorted(set(terms_it), key=tm.term_key))
 
 
-def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = 400) -> Grid:
+def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = GRID_CAP) -> Grid:
     """Smallest closure of seeds + {0, 1, w} under ops, strictly below bound.
 
     The closure is semi-naive: a round applies the ops only to the points
@@ -233,42 +236,25 @@ class Leq1Relation:
         return self.frontiers[self.grid.index(t)] == len(self.grid.points) - 1
 
     def class_detect(self, j: int):
-        """Grid points with a <1-chain of length j, with witnesses."""
-        if j < 1:
-            raise LevelViolation(f"class level must be >= 1, got {j}")
-        pts = self.grid.points
-        level = next(itertools.islice(self._chain_levels(), j - 1, None), {})
-        return [(pts[i], tuple(pts[w] for w in level[i])) for i in sorted(level)]
-
-    def class_level_of(self, t: tm.OrdTerm) -> int:
-        """The largest j with t in class_detect(1), ..., class_detect(j)."""
-        i = self.grid.rank_of(t)
-        if i is None:
-            return 0
-        j = 0
-        for level in self._chain_levels():
-            if i not in level:
-                return j
-            j += 1
-
-    def _chain_levels(self):
-        """class_detect(1), class_detect(2), ... in one pass, each level as
-        {rank: witness ranks}, ending with the first empty level.
+        """Grid points with a <1-chain of length j, with witnesses.
 
         Level 1 holds the epsilon points whose frontier reaches their
         double; a point is in level j + 1 if its frontier reaches a member
         of level j above it, the least such member being its witness.  The
         largest member of level j + 1 lies below the largest of level j, so
-        some level within n + 1 is empty and the pass is finite.
+        some level within n + 1 is empty, and the levels stop there.
         """
+        if j < 1:
+            raise LevelViolation(f"class level must be >= 1, got {j}")
         pts, f = self.grid.points, self.frontiers
-        level = {}
+        level = {}  # rank -> witness ranks
         for i in self.grid.epsilons:
             d = self.grid.ranks.get(tm.mul(pts[i], tm.nat(2)))
             if d is not None and f[i] >= d:
                 level[i] = [i, d]
-        while level:
-            yield level
+        for _ in range(j - 1):
+            if not level:
+                break
             members = sorted(level)
             nxt = {}
             for i in range(len(pts)):
@@ -276,7 +262,7 @@ class Leq1Relation:
                 if k < len(members) and members[k] <= f[i]:
                     nxt[i] = [i] + level[members[k]]
             level = nxt
-        yield level
+        return [(pts[i], tuple(pts[w] for w in level[i])) for i in sorted(level)]
 
     # -- exports ---------------------------------------------------------------
 

@@ -84,13 +84,13 @@ def _gather(ctx, k, alpha, t, keys, leaves):
     """The candidates from the chain below alpha(+^k), the annotated terms
     `keys` and the known leaves `leaves`, each inside (alpha, t]."""
     a = tm.Leaf(alpha)
-    out = {}
+    chain = []
     cur = alpha
     for j in range(k - 1, 0, -1):
         cur = tm.mk_succ(cur, j)
-        r = tm.Leaf(cur)
-        if _inside(r, a, t):
-            out[r] = chain_bound(alpha, k)
+        chain.append(tm.Leaf(cur))
+    bound = tm.mul(tm.Leaf(cur), tm.nat(2))  # chain_bound(alpha, k)
+    out = {r: bound for r in chain if _inside(r, a, t)}
     for r in keys:
         out[r] = ctx.m_table[r]
     for r in leaves:
@@ -308,43 +308,26 @@ def canonical_point(source, i, e, k) -> CanonicalData:
 # T-sets
 
 
-@dataclass(frozen=True)
-class TSet:
-    elements: tuple[tm.EpsLeaf, ...]  # strictly decreasing
-
-    def __contains__(self, leaf):
-        return leaf in self.elements
-
-    def intersect_below(self, cut: tm.EpsLeaf) -> tuple[tm.EpsLeaf, ...]:
-        return tuple(
-            e for e in self.elements if tm.compare_leaves(e, cut) is LT
-        )
-
-
-@dataclass(frozen=True)
-class FSet:
-    elements: tuple[tm.EpsLeaf, ...]  # sigma_1 > ... > sigma_q
-
-
-def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm) -> TSet:
+def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm):
+    """T(n, alpha, t) as a strictly decreasing tuple of leaves."""
     if n < 1:
         raise LevelViolation("T-set level must be >= 1")
     upper = tm.Leaf(tm.mk_succ(alpha, n))
     if tm.compare(t, upper) is not LT:
         raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{n})")
     if n == 1:
-        return TSet(tm.ep_set(t))
+        return tm.ep_set(t)
     a = tm.Leaf(alpha)
     if not isinstance(t, tm.Leaf):
         acc: list[tm.EpsLeaf] = []
         for e in tm.ep_set(t):
-            for member in T_set(ctx, n, alpha, tm.Leaf(e)).elements:
+            for member in T_set(ctx, n, alpha, tm.Leaf(e)):
                 if member not in acc:
                     acc.append(member)
-        return TSet(tm.sort_leaves(acc, reverse=True))
+        return tm.sort_leaves(acc, reverse=True)
     leaf = t.leaf
     if tm.compare(t, a) is not GT:
-        return TSet((leaf,))
+        return (leaf,)
     # t is an epsilon inside (alpha, alpha(+^n)): iterate the O-recursion
     m_t = ctx.m_of(t)
     chain = []
@@ -364,14 +347,11 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm) -> TSet:
             lam = lambda_locate(k + 1, tm.Leaf(delta))
             if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
                 raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
-            fset = f_and_S(ctx, k + 1, lam, delta)[1]
-            for x in fset.elements:
-                new.add(x)
-            for x in tm.ep_set(ctx.m_of(tm.Leaf(delta))):
-                new.add(x)
+            new.update(f_and_S(ctx, k + 1, lam, delta)[1])
+            new.update(tm.ep_set(ctx.m_of(tm.Leaf(delta))))
             new.add(lam)
         if new <= members:
-            return TSet(tm.sort_leaves(members, reverse=True))
+            return tm.sort_leaves(members, reverse=True)
         members |= new
         frontier = [c for c in members if _in_open_interval(c, a, upper)]
     raise IterationCapExceeded(
@@ -390,9 +370,10 @@ def _in_open_interval(e: tm.EpsLeaf, lo: tm.OrdTerm, hi: tm.OrdTerm) -> bool:
 
 
 def f_and_S(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, delta: tm.EpsLeaf):
-    """S(n, alpha)(delta) over the known skeleton, and f(n, alpha)(delta)."""
+    """(S, f): S(n, alpha)(delta) over the known skeleton, increasing, and
+    f(n, alpha)(delta) = (sigma_1, ..., sigma_q), decreasing."""
     if n == 1:
-        return (), FSet(())
+        return (), ()
     a = tm.Leaf(alpha)
     upper = tm.Leaf(tm.mk_succ(alpha, n))
     d = tm.Leaf(delta)
@@ -409,8 +390,8 @@ def f_and_S(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, delta: tm.EpsLeaf):
     f_elems = [delta]
     if s_members:
         sup = s_members[-1]
-        f_elems.extend(f_and_S(ctx, n, alpha, sup)[1].elements)
-    return tuple(s_members), FSet(tuple(f_elems))
+        f_elems.extend(f_and_S(ctx, n, alpha, sup)[1])
+    return s_members, tuple(f_elems)
 
 
 # ---------------------------------------------------------------------------

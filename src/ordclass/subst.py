@@ -166,17 +166,21 @@ def invert_map(f: SubstMap) -> SubstMap:
     return make_map([(d, s) for s, d in f.overrides], f.threshold)
 
 
+def _lower_threshold(f: SubstMap, g: SubstMap):
+    """The lower of the two maps' thresholds (f's if they are equal), or
+    None if either has none."""
+    if f.threshold is None or g.threshold is None:
+        return None
+    if tm.compare_leaves(f.threshold, g.threshold) is not GT:
+        return f.threshold
+    return g.threshold
+
+
 def compose_maps(outer: SubstMap, inner: SubstMap) -> SubstMap:
     """The map e -> outer(inner(e)); t[compose(f,g)] = t[g][f]."""
     if inner.rebase is not None or outer.rebase is not None:
         return _compose_rebase(outer, inner)
-    new_threshold = None
-    if inner.threshold is not None and outer.threshold is not None:
-        new_threshold = (
-            inner.threshold
-            if tm.compare_leaves(inner.threshold, outer.threshold) is not GT
-            else outer.threshold
-        )
+    new_threshold = _lower_threshold(inner, outer)
     pairs = []
     for src, mid in inner.overrides:
         try:
@@ -203,14 +207,7 @@ def _compose_rebase(outer, inner):
     ):
         n, alpha, _ = inner.rebase
         c = outer.rebase[2]
-        new_threshold = None
-        if inner.threshold is not None and outer.threshold is not None:
-            new_threshold = (
-                inner.threshold
-                if tm.compare_leaves(inner.threshold, outer.threshold) is not GT
-                else outer.threshold
-            )
-        return SubstMap(((alpha, c),), new_threshold, (n, alpha, c))
+        return SubstMap(((alpha, c),), _lower_threshold(inner, outer), (n, alpha, c))
     raise CompositionUnsupported(
         "composition of these transport maps is not representable"
     )

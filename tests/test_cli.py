@@ -99,6 +99,13 @@ def test_classdetect_below_level_1_is_a_domain_error(tmp_path, capsys, j):
     assert err.strip() == f"error: class level must be >= 1, got {j}"
 
 
+def test_classdetect_far_above_the_deepest_level_is_empty(tmp_path, capsys):
+    script = _script(tmp_path, "grid g eps(1) eps(0)\nclassdetect g 1000000000\n")
+    code, out, err = run(capsys, "--script", script)
+    assert code == 0 and err == ""
+    assert out == "grid g: 51 points, 2 rounds\n{}\n"
+
+
 def test_removed_subset_cap_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--subset-cap", "4", "eval", "1"])
@@ -201,6 +208,17 @@ def test_missing_files_are_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, flag, str(tmp_path / "absent"), "eval", "1")
         assert code == 2 and out == ""
         assert err.startswith("file error: ") and "absent" in err
+
+
+@pytest.mark.parametrize("flag", ["--context", "--script", "--cache-dir", "export"])
+def test_a_nul_byte_in_a_file_name_is_a_usage_error(tmp_path, capsys, flag):
+    # open() takes such a name as a ValueError, not an OSError
+    if flag == "export":
+        argv = ["--script", _script(tmp_path, "grid g 5 1\nexport g a\x00b\n")]
+    else:
+        argv = [flag, "a\x00b", "grid", "g", "5", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err == "file error: NUL byte in file name 'a\\x00b'\n"
 
 
 @pytest.mark.parametrize(

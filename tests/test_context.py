@@ -1,14 +1,13 @@
 import pytest
 
 from conftest import EPS
+import ordclass
 from ordclass import terms as tm
 from ordclass.context import (
     NEG_INFINITY,
     ClassContext,
     chain_bound,
     chain_down,
-    class_level,
-    class_succ,
     lambda_locate,
 )
 from ordclass.errors import LevelViolation, MissingMValue, Undecidable
@@ -26,14 +25,9 @@ def test_declare_ranks_increase():
         ctx.declare("A", 1)
 
 
-def test_class_succ():
-    ctx = ClassContext()
-    assert class_succ(ctx, EPS[0], 1) == EPS[1]
-    A = ctx.declare("A", 3)
-    s = class_succ(ctx, A, 2)
-    assert tm.leaf_level(s) == 2
-    with pytest.raises(LevelViolation):
-        class_succ(ctx, EPS[0], 2)
+def test_every_exported_name_resolves():
+    for name in ordclass.__all__:
+        assert getattr(ordclass, name, None) is not None, name
 
 
 def test_chain_down():
@@ -64,14 +58,6 @@ def test_chain_bound_degenerate_readings():
     assert tm.eq(chain_bound(A, 1), tm.mul(tm.Leaf(A), tm.nat(2)))
     a1 = tm.mk_succ(A, 1)
     assert tm.eq(chain_bound(A, 2), tm.mul(tm.Leaf(a1), tm.nat(2)))
-
-
-def test_class_level():
-    assert class_level(e("w^w")) == 0
-    ctx = ClassContext()
-    A = ctx.declare("A", 3)
-    assert class_level(tm.Leaf(tm.mk_succ(A, 2))) == 2
-    assert class_level(tm.Leaf(EPS[0])) == 1
 
 
 def test_lambda_locate():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import EPS
 from ordclass import terms as tm
-from ordclass.context import ClassContext, chain_bound, class_level, lambda_locate
+from ordclass.context import ClassContext, chain_bound, lambda_locate
 from ordclass.errors import Undecidable
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.hierarchy import (
@@ -12,7 +12,6 @@ from ordclass.hierarchy import (
     A_successor_step,
     G_membership,
     G_sample,
-    HierarchySet,
     M_transport,
     S_interval,
     S_interval_via_domain,
@@ -76,7 +75,7 @@ def test_G_degenerate_interval_matches_lim_rule(anchor_rel):
     for t in (tm.Leaf(alpha), e("eps(1)+1"), e("eps(1)*2")):
         sample = G_sample(rel, 2, alpha, t, universe)
         degenerate = A_degenerate(rel, 2, alpha, t)
-        assert sample.members == degenerate.members == ()
+        assert sample == degenerate == ()
     # the set is empty, but T below alpha is still decided: grids decide
     # level 1 only
     with pytest.raises(Undecidable):
@@ -85,9 +84,9 @@ def test_G_degenerate_interval_matches_lim_rule(anchor_rel):
 
 def test_A_step_below_eta_keeps_members(anchor_rel):
     alpha = e("eps(1)").leaf
-    prev = HierarchySet("A-successor-trace", 2, alpha, tm.Leaf(alpha), (EPS[0],))
+    prev = (EPS[0],)
     step = A_successor_step(anchor_rel, 2, alpha, tm.Leaf(alpha), prev)
-    assert step.members == prev.members  # l < eta on the degenerate stretch
+    assert step == prev  # l < eta on the degenerate stretch
 
 
 def test_A_step_at_eta_takes_sample_lim(anchor_rel):
@@ -95,9 +94,9 @@ def test_A_step_at_eta_takes_sample_lim(anchor_rel):
     l = e("eps(1)*2+1")
     eta = eta_compute(anchor_rel, 1, alpha, l)
     assert tm.eq(eta, l)
-    prev = HierarchySet("A-successor-trace", 2, alpha, l, (EPS[0],))
+    prev = (EPS[0],)
     step = A_successor_step(anchor_rel, 2, alpha, l, prev)
-    assert step.members == ()
+    assert step == ()
 
 
 def test_G_equals_A_trace_on_grid(anchor_rel):
@@ -119,7 +118,7 @@ def test_G_equals_A_trace_on_grid(anchor_rel):
                 continue
             step = A_successor_step(rel, 2, alpha, l, prev)
             gside = G_sample(rel, 2, alpha, t_next, universe)
-            assert step.members == gside.members
+            assert step == gside
             instances += len(universe)
             if tm.eq(eta_compute(rel, 1, alpha, l), l):
                 eta_fixed += 1
@@ -196,7 +195,7 @@ def test_skeleton_and_hierarchy_calls_take_one_source():
         assert source.kind is source.POSITIONAL_OR_KEYWORD, fn.__name__
         assert source.default is source.empty, fn.__name__
     # these read no m, and take no source
-    for fn in (g_map, lambda_locate, M_transport, class_level):
+    for fn in (g_map, lambda_locate, M_transport):
         params = inspect.signature(fn).parameters
         assert not {"source", "ctx", "rel"} & set(params), fn.__name__
 

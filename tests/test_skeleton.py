@@ -120,7 +120,7 @@ def test_canonical_chain_structure(ctx3):
 def test_T_set_level1_is_ep_set():
     ctx = ClassContext()
     t = e("eps(0)*2+w")
-    assert T_set(ctx, 1, EPS[0], t).elements == tm.ep_set(t)
+    assert T_set(ctx, 1, EPS[0], t) == tm.ep_set(t)
 
 
 def test_T_set_successor_invariant(ctx3):
@@ -137,10 +137,10 @@ def test_T_set_is_o_chain(ctx3):
         for k in (1, 2):
             data = canonical_point(ctx3, i, base, k)
             ts = T_set(ctx3, i, base, data.gamma)
-            assert ts.elements == data.o_chain
+            assert ts == data.o_chain
             # T-set contains Ep(t) and is finite and decreasing
             for leaf in tm.ep_set(data.gamma):
-                assert leaf in ts.elements
+                assert leaf in ts
 
 
 def test_T_monotone_laws(ctx3):
@@ -150,24 +150,24 @@ def test_T_monotone_laws(ctx3):
     a = tm.Leaf(A)
     eta = eta_compute(ctx3, 3, A, t)
     ell = l_compute(ctx3, 3, A, t)
-    T_t = set(T_set(ctx3, 3, A, t).intersect_below(A))
-    T_eta = set(T_set(ctx3, 3, A, eta).intersect_below(A))
+    T_t = {x for x in T_set(ctx3, 3, A, t) if tm.compare_leaves(x, A) is tm.LT}
+    T_eta = {x for x in T_set(ctx3, 3, A, eta) if tm.compare_leaves(x, A) is tm.LT}
     assert T_eta <= T_t
-    T_l = set(T_set(ctx3, 3, A, ell).elements)
-    assert T_l <= set(T_set(ctx3, 3, A, t).elements)
+    T_l = set(T_set(ctx3, 3, A, ell))
+    assert T_l <= set(T_set(ctx3, 3, A, t))
 
 
 def test_f_and_S():
     ctx = ClassContext()
-    assert f_and_S(ctx, 1, EPS[0], EPS[1]) == ((), type(f_and_S(ctx, 1, EPS[0], EPS[1])[1])(()))
+    assert f_and_S(ctx, 1, EPS[0], EPS[1]) == ((), ())
     A = ctx.declare("A", 3)
     data = canonical_point(ctx, 3, A, 1)
     o1, o2, o3 = data.o_chain
     S, f = f_and_S(ctx, 2, o2, o1)
-    assert S == () and f.elements == (o1,)
+    assert S == () and f == (o1,)
     # sigma_1 = sigma always
     S2, f2 = f_and_S(ctx, 3, A, o2)
-    assert f2.elements[0] == o2
+    assert f2[0] == o2
 
 
 def test_g_map_n1_exact():
