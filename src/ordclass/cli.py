@@ -25,7 +25,7 @@ from . import terms as tm
 from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
-from .hierarchy import A_successor_step, G_membership, G_sample, g_level
+from .hierarchy import A_successor_step, G_sample, G_set
 from .oracle import ANCHOR_OPS, GRID_CAP, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
@@ -39,8 +39,9 @@ class Session:
 
 
 # verb -> handler, and verb -> the names of its arguments, in order: [X] is
-# optional and [X...] is any number of them
-_VERBS, _SIGNATURES = {}, {}
+# optional and [X...] is any number of them; _ARITY holds each signature read
+# as (names, the number required, whether the last repeats)
+_VERBS, _SIGNATURES, _ARITY = {}, {}, {}
 
 
 def _verb(signature):
@@ -48,6 +49,9 @@ def _verb(signature):
     def register(handler):
         verb = handler.__name__.removeprefix("_cmd_")
         _VERBS[verb], _SIGNATURES[verb] = handler, signature
+        names = tuple(w.strip("[.]") for w in signature.split())
+        required = len(names) - signature.count("[")
+        _ARITY[verb] = names, required, signature.endswith("...]")
         return handler
     return register
 
@@ -85,6 +89,11 @@ def _file(session, text):
     if "\0" in text:  # open() raises a ValueError, not an OSError, on it
         raise OSError(f"NUL byte in file name {text!r}")
     return text
+
+
+def _epsilons(rel):
+    """The epsilon leaves of rel's grid, increasing (so G-set members are)."""
+    return [rel.grid.points[i].leaf for i in rel.grid.epsilons]
 
 
 def _render(rel, t):
@@ -134,12 +143,9 @@ def run_command(session: Session, command: str):
     handler = _VERBS.get(verb)
     if handler is None:
         raise OrdinalError(f"unknown verb {verb!r}")
-    signature = _SIGNATURES[verb]
-    names = [w.strip("[.]") for w in signature.split()]
-    if len(args) < len(names) - signature.count("[") or (
-        len(args) > len(names) and not signature.endswith("...]")
-    ):
-        raise ParseError(f"usage: {verb} {signature}")
+    names, required, repeats = _ARITY[verb]
+    if len(args) < required or (len(args) > len(names) and not repeats):
+        raise ParseError(f"usage: {verb} {_SIGNATURES[verb]}")
     names += names[-1:] * (len(args) - len(names))  # [X...] reads the rest
     readers = [_READERS[name] for name in names]
     values = list(args)
@@ -254,22 +260,18 @@ def _cmd_classdetect(session, rel, j):
 
 @_verb("N ALPHA T GRID")
 def _cmd_gset(session, n, alpha, t, rel):
-    g_level(n)  # even if the grid has no epsilon point
-    rows, names = [], []
-    for i in rel.grid.epsilons:  # increasing, so the members are sorted
-        beta = rel.grid.points[i].leaf
-        member, why = G_membership(rel, n, alpha, t, beta)
-        rows.append({"beta": render_leaf(beta), "member": member, "provenance": why})
-        if member:
-            names.append(rows[-1]["beta"])
+    rows = [
+        {"beta": render_leaf(beta), "member": member, "provenance": why}
+        for beta, member, why in G_set(rel, n, alpha, t, _epsilons(rel))
+    ]
+    names = [row["beta"] for row in rows if row["member"]]
     payload = {"members": names, "queries": rows, "sample_relative": True}
     return "{" + ", ".join(names) + "}", payload
 
 
 @_verb("N ALPHA L GRID")
 def _cmd_astep(session, n, alpha, l, rel):
-    universe = [rel.grid.points[i].leaf for i in rel.grid.epsilons]
-    prev = G_sample(rel, n, alpha, l, universe)
+    prev = G_sample(rel, n, alpha, l, _epsilons(rel))
     names = [render_leaf(b) for b in A_successor_step(rel, n, alpha, l, prev)]
     t = render_ord(tm.add(l, tm.one()))
     payload = {"t": t, "members": names, "sample_relative": True}

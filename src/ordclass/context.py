@@ -207,13 +207,6 @@ class ClassContext:
             return term
         raise MissingMValue(term)
 
-    def has_m(self, term: tm.OrdTerm) -> bool:
-        try:
-            self.m_of(term)
-            return True
-        except MissingMValue:
-            return False
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
@@ -256,14 +249,17 @@ class ClassContext:
 # skeleton basics
 
 
+def succ_chain(a: tm.EpsLeaf, k: int) -> list[tm.EpsLeaf]:
+    """[a, a(+^{k-1}), a(+^{k-1})(+^{k-2}), ..., ...(+^1)]: k leaves."""
+    chain = [a]
+    for j in range(k - 1, 0, -1):
+        chain.append(tm.mk_succ(chain[-1], j))
+    return chain
+
+
 def chain_down(ctx: ClassContext, a: tm.EpsLeaf) -> list[tm.EpsLeaf]:
     """[a_n, ..., a_1] with a_{j-1} = a_j(+^{j-1}); annotates m(a_j) = a_1*2."""
-    n = tm.leaf_level(a)
-    chain = [a]
-    cur = a
-    for j in range(n - 1, 0, -1):
-        cur = tm.mk_succ(cur, j)
-        chain.append(cur)
+    chain = succ_chain(a, tm.leaf_level(a))
     bound = tm.mul(tm.Leaf(chain[-1]), tm.nat(2))
     for leaf in chain:
         ctx.register(leaf)
@@ -274,10 +270,7 @@ def chain_down(ctx: ClassContext, a: tm.EpsLeaf) -> list[tm.EpsLeaf]:
 
 def chain_bound(a: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     """a(+^{k-1})(+^{k-2})...(+^1)*2, read as a*2 when k = 1."""
-    cur = a
-    for j in range(k - 1, 0, -1):
-        cur = tm.mk_succ(cur, j)
-    return tm.mul(tm.Leaf(cur), tm.nat(2))
+    return tm.mul(tm.Leaf(succ_chain(a, k)[-1]), tm.nat(2))
 
 
 def _leading_leaf(t: tm.OrdTerm) -> tm.EpsLeaf | None:

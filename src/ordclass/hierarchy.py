@@ -53,33 +53,41 @@ def leq1_query(source, beta: tm.EpsLeaf, v: tm.OrdTerm):
     raise Undecidable(f"beta <=1 {v!r} has no grid value or annotation")
 
 
-def g_level(n):
-    """The level n - 1 of G^{n-1}, which must be >= 1."""
+def _inside(leaves, r):
+    """Whether every leaf lies below r."""
+    return all(tm.compare_leaves(e, r) is LT for e in leaves)
+
+
+def G_set(source, n, alpha, t, universe):
+    """A (beta, member, why) row per beta of the universe, in order: beta in
+    G^{n-1}(t) relative to alpha's interval.  T below alpha and eta, which
+    no beta changes, are computed once, at the first beta that reads them."""
     if n < 2:
         raise LevelViolation("G-membership needs n >= 2")
-    return n - 1
-
-
-def G_membership(source, n, alpha, t, beta):
-    """beta in G^{n-1}(t) relative to alpha's interval; returns (bool, why)."""
-    k = g_level(n)
-    b = tm.Leaf(beta)
-    if tm.compare(b, tm.Leaf(alpha)) is GT:
-        return False, "beta above alpha"
-    for e in _t_below(source, k, alpha, t):
-        if tm.compare_leaves(e, beta) is not LT:
-            return False, "T-set not contained in beta"
-    eta = eta_compute(source, k, alpha, t)
-    v = tm.add(apply_subst(eta, g_map(k, alpha, beta)), tm.one())
-    return leq1_query(source, beta, v)
+    k = n - 1
+    a = tm.Leaf(alpha)
+    below = eta = None
+    rows = []
+    for beta in universe:
+        if tm.compare(tm.Leaf(beta), a) is GT:
+            rows.append((beta, False, "beta above alpha"))
+            continue
+        if below is None:
+            below = _t_below(source, k, alpha, t)
+        if not _inside(below, beta):
+            rows.append((beta, False, "T-set not contained in beta"))
+            continue
+        if eta is None:
+            eta = eta_compute(source, k, alpha, t)
+        v = tm.add(apply_subst(eta, g_map(k, alpha, beta)), tm.one())
+        rows.append((beta, *leq1_query(source, beta, v)))
+    return rows
 
 
 def G_sample(source, n, alpha, t, universe):
     """The members of the universe in G^{n-1}(t), increasing."""
-    g_level(n)  # even if the universe is empty
-    return tm.sort_leaves(
-        b for b in universe if G_membership(source, n, alpha, t, b)[0]
-    )
+    rows = G_set(source, n, alpha, t, universe)
+    return tm.sort_leaves(beta for beta, member, _ in rows if member)
 
 
 def A_successor_step(source, n, alpha, l, prev):
@@ -100,31 +108,24 @@ def A_degenerate(source, n, alpha, t):
     return ()
 
 
-def S_interval(source, i, alpha, r, t, universe):
-    """{q in (alpha, l(i, alpha, t)) : T(i, alpha, q) below alpha inside r}."""
+def _below_ell(source, i, alpha, t, universe):
+    """The q of the universe in (alpha, l(i, alpha, t)), filtered lazily."""
     ell = l_compute(source, i, alpha, t)
     a = tm.Leaf(alpha)
-    out = []
-    for q in universe:
-        if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
-            continue
-        if all(tm.compare_leaves(e, r) is LT for e in _t_below(source, i, alpha, q)):
-            out.append(q)
-    return tuple(out)
+    return (q for q in universe if tm.compare(q, a) is GT and tm.compare(q, ell) is LT)
+
+
+def S_interval(source, i, alpha, r, t, universe):
+    """{q in (alpha, l(i, alpha, t)) : T(i, alpha, q) below alpha inside r}."""
+    window = _below_ell(source, i, alpha, t, universe)
+    return tuple(q for q in window if _inside(_t_below(source, i, alpha, q), r))
 
 
 def S_interval_via_domain(source, i, alpha, r, t, universe):
     """The Remark's second reading: q with Ep(q) inside Dom g(i, alpha, r)."""
-    ell = l_compute(source, i, alpha, t)
-    a = tm.Leaf(alpha)
+    window = _below_ell(source, i, alpha, t, universe)
     g = g_map(i, alpha, r)
-    out = []
-    for q in universe:
-        if not (tm.compare(q, a) is GT and tm.compare(q, ell) is LT):
-            continue
-        if all(g.contains(e) for e in tm.ep_set(q)):
-            out.append(q)
-    return tuple(out)
+    return tuple(q for q in window if all(g.contains(e) for e in tm.ep_set(q)))
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,13 @@ class Transport:
         """{q in [kappa, kappa(+^k)) : T(k, kappa, q) below kappa inside r}."""
         lo = tm.Leaf(self.kappa)
         hi = tm.Leaf(tm.mk_succ(self.kappa, self.k))
-        out = []
-        for q in universe:
-            if tm.compare(q, lo) is LT or tm.compare(q, hi) is not LT:
-                continue
-            tcap = _t_below(source, self.k, self.kappa, q)
-            if all(tm.compare_leaves(e, self.r) is LT for e in tcap):
-                out.append(q)
-        return tuple(out)
+        return tuple(
+            q
+            for q in universe
+            if tm.compare(q, lo) is not LT
+            and tm.compare(q, hi) is LT
+            and _inside(_t_below(source, self.k, self.kappa, q), self.r)
+        )
 
 
 def M_transport(n, r, kappa) -> Transport:

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import terms as tm
-from .context import ClassContext, chain_bound, lambda_locate
+from .context import ClassContext, chain_bound, lambda_locate, succ_chain
 from .errors import (
     IterationCapExceeded,
     LevelViolation,
+    MissingMValue,
     OrderUndecidable,
     RegimeMixed,
     Undecidable,
@@ -84,18 +85,17 @@ def _gather(ctx, k, alpha, t, keys, leaves):
     """The candidates from the chain below alpha(+^k), the annotated terms
     `keys` and the known leaves `leaves`, each inside (alpha, t]."""
     a = tm.Leaf(alpha)
-    chain = []
-    cur = alpha
-    for j in range(k - 1, 0, -1):
-        cur = tm.mk_succ(cur, j)
-        chain.append(tm.Leaf(cur))
-    bound = tm.mul(tm.Leaf(cur), tm.nat(2))  # chain_bound(alpha, k)
-    out = {r: bound for r in chain if _inside(r, a, t)}
+    chain = [tm.Leaf(r) for r in succ_chain(alpha, k)]
+    bound = tm.mul(chain[-1], tm.nat(2))  # chain_bound(alpha, k)
+    out = {r: bound for r in chain[1:] if _inside(r, a, t)}
     for r in keys:
         out[r] = ctx.m_table[r]
     for r in leaves:
-        if r not in out and ctx.has_m(r):
-            out[r] = ctx.m_of(r)
+        if r not in out:
+            try:
+                out[r] = ctx.m_of(r)
+            except MissingMValue:
+                pass
     if t not in out:
         out[t] = ctx.m_of(t)
     return out

@@ -79,40 +79,19 @@ class SubstMap:
         return data
 
 
-def _tower_over(e: tm.EpsLeaf, root: tm.EpsLeaf):
-    """Constructor stack of e over root, innermost first, or None."""
-    stack = []
-    cur = e
-    while cur != root:
-        if isinstance(cur, tm.Succ):
-            stack.append(("succ", cur.k))
-        elif isinstance(cur, tm.CanonicalPoint):
-            stack.append(("cp", cur.level, cur.k))
-        else:
-            return None
-        cur = cur.base
-    stack.reverse()
-    return stack
-
-
 def _rebase_leaf(e, n, alpha, c):
-    """Transport e in [alpha, alpha(+^n)) to the interval over c, else None."""
+    """Transport e in [alpha, alpha(+^n)) to the interval over c, else None:
+    alpha goes to c, and each (+^k) with k < n or canonical point of level
+    < n over alpha is rebuilt over e's transported base."""
     if e == alpha:
         return c
-    stack = _tower_over(e, alpha)
-    if stack is None:
-        return None
-    out = c
-    for step in stack:
-        if step[0] == "succ":
-            if step[1] >= n:
-                return None
-            out = tm.mk_succ(out, step[1])
-        else:
-            if step[1] + 1 > n:
-                return None
-            out = tm.mk_canonical(step[1], out, step[2])
-    return out
+    if isinstance(e, tm.Succ) and e.k < n:
+        base = _rebase_leaf(e.base, n, alpha, c)
+        return None if base is None else tm.mk_succ(base, e.k)
+    if isinstance(e, tm.CanonicalPoint) and e.level < n:
+        base = _rebase_leaf(e.base, n, alpha, c)
+        return None if base is None else tm.mk_canonical(e.level, base, e.k)
+    return None
 
 
 def make_map(pairs, threshold=None, rebase=None) -> SubstMap:

@@ -17,7 +17,7 @@ from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
 from ordclass.errors import MissingMValue, OrdinalError
-from ordclass.grammar import parse_ord, render_leaf, render_ord
+from ordclass.grammar import parse_ord, render_ord
 from ordclass.oracle import Leq1Relation
 
 
@@ -429,21 +429,36 @@ def test_g_membership_below_level_2_is_a_domain_error(tmp_path, capsys, verb, n)
         assert err.strip() == "error: G-membership needs n >= 2"
 
 
-def test_gset_queries_each_point_once(monkeypatch):
-    calls = []
+def test_gset_computes_T_below_alpha_and_eta_once(monkeypatch):
+    # neither depends on beta, and both points read them
+    calls = {"_t_below": 0, "eta_compute": 0}
 
-    def counted(source, n, alpha, t, beta):
-        calls.append(render_leaf(beta))
-        return membership(source, n, alpha, t, beta)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    membership = hierarchy.G_membership
-    for module in (cli, hierarchy):
-        monkeypatch.setattr(module, "G_membership", counted)
+    for name in calls:
+        monkeypatch.setattr(hierarchy, name, counting(name, getattr(hierarchy, name)))
     session = Session()
     run_command(session, "grid g eps(2) eps(0) eps(1)")
     text, payload = run_command(session, "gset 2 eps(1) eps(1)*2 g")
-    assert calls == [row["beta"] for row in payload["queries"]] == ["eps(0)", "eps(1)"]
+    assert [row["beta"] for row in payload["queries"]] == ["eps(0)", "eps(1)"]
+    assert calls == {"_t_below": 1, "eta_compute": 1}
     assert text == "{" + ", ".join(payload["members"]) + "}"
+
+
+def test_gset_decides_T_below_alpha_only_under_a_beta_not_above_it(tmp_path, capsys):
+    # every epsilon of the grid lies above eps(1), so the level-2 T-set that
+    # a grid cannot decide is never asked for; at eps(2) it is
+    script = _script(
+        tmp_path,
+        "grid g eps(5) eps(2) eps(3)\ngset 3 eps(1) eps(1)+1 g\ngset 3 eps(2) eps(2)+1 g\n",
+    )
+    code, out, err = run(capsys, "--script", script)
+    assert code == 1 and out.splitlines()[1:] == ["{}"]
+    assert err.strip() == "error: grids decide level-1 intervals only, got level 2"
 
 
 def test_grid_epsilons_are_found_once_per_grid(monkeypatch):

@@ -10,8 +10,8 @@ from ordclass.grammar import parse_ord, render_ord
 from ordclass.hierarchy import (
     A_degenerate,
     A_successor_step,
-    G_membership,
     G_sample,
+    G_set,
     M_transport,
     S_interval,
     S_interval_via_domain,
@@ -36,6 +36,11 @@ def test_leq1_query_grid(anchor_rel):
     # off-grid values resolve against the frontier
     ok, _ = leq1_query(anchor_rel, EPS[0], e("eps(0)+w*7"))
     assert ok
+    # a value at most beta holds whatever the grid says
+    ok, why = leq1_query(anchor_rel, EPS[1], e("eps(0)*2"))
+    assert ok and why == "reflexive"
+    with pytest.raises(Undecidable, match="outside the grid"):
+        leq1_query(anchor_rel, EPS[5], e("eps(5)*2"))
 
 
 def test_leq1_query_symbolic_level_rule():
@@ -57,14 +62,14 @@ def test_G_beta_alpha_symbolic_all_admissible_t():
     A = ctx.declare("A", 2)
     data = canonical_point(ctx, 1, A, 2)
     for t in (tm.Leaf(A), chain_bound(A, 1), data.gamma):
-        ok, _ = G_membership(ctx, 2, A, t, A)
+        [(_, ok, _)] = G_set(ctx, 2, A, t, [A])
         assert ok
 
 
 def test_G_fails_T_containment(anchor_rel):
     # t carries eps(1) in its support, so beta = eps(0) < eps(1) cannot receive it
     t = e("eps(1)+eps(0)")
-    ok, why = G_membership(anchor_rel, 2, e("eps(2)").leaf, t, EPS[0])
+    [(_, ok, why)] = G_set(anchor_rel, 2, e("eps(2)").leaf, t, [EPS[0]])
     assert not ok and why == "T-set not contained in beta"
 
 
@@ -175,7 +180,7 @@ SOURCE_CALLS = (
     canonical_point,
     _t_below,
     leq1_query,
-    G_membership,
+    G_set,
     G_sample,
     A_successor_step,
     A_degenerate,

@@ -3,7 +3,7 @@ import pytest
 from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.context import ClassContext, chain_down
-from ordclass.errors import LevelViolation, MissingMValue, RegimeMixed
+from ordclass.errors import LeafOutsideDomain, LevelViolation, MissingMValue, RegimeMixed
 from ordclass.grammar import parse_ord
 from ordclass.skeleton import (
     T_set,
@@ -170,6 +170,23 @@ def test_f_and_S():
     assert f2[0] == o2
 
 
+def test_f_and_S_recurses_on_the_top_of_S():
+    # f = (delta,) + f(max S) while S is not empty
+    ctx = ClassContext()
+    A = ctx.declare("A", 2)
+    a1, a2, a3 = (
+        e(text, ctx.atoms).leaf for text in ("A@2(+1)", "A@2(+1)(+1)", "A@2(+1)(+1)(+1)")
+    )
+    for leaf in (a1, a2, a3):
+        ctx.register(leaf)
+    S, f = f_and_S(ctx, 2, A, a3)
+    assert (S, f) == ((a1, a2), (a3, a2, a1))
+    m_delta = ctx.m_of(tm.Leaf(a3))
+    for x in S:  # m(x)[g(1, x, delta)] >= m(delta)
+        moved = apply_subst(ctx.m_of(tm.Leaf(x)), g_map(1, x, a3))
+        assert tm.compare(moved, m_delta) is not tm.LT
+
+
 def test_g_map_n1_exact():
     g = g_map(1, EPS[5], EPS[2])
     assert tm.eq(apply_subst(tm.Leaf(EPS[5]), g), tm.Leaf(EPS[2]))
@@ -249,6 +266,23 @@ def test_gamma_transport_law(ctx3):
 def test_g_map_levels_checked(ctx3):
     with pytest.raises(LevelViolation):
         g_map(2, EPS[0], ctx3.atom("A"))
+
+
+def test_g_map_rebases_the_towers_below_its_level():
+    ctx = ClassContext()
+    ctx.declare("A", 3)
+    ctx.declare("C", 3)
+    g = g_map(2, ctx.atom("A"), ctx.atom("C"))
+    for src, dst in (
+        ("A@3(+1)", "C@3(+1)"),
+        ("A@3(+1)(+1)", "C@3(+1)(+1)"),
+        ("cp(2,1,A@3)", "cp(2,1,C@3)"),
+    ):
+        assert tm.eq(apply_subst(e(src, ctx.atoms), g), e(dst, ctx.atoms))
+    # a constructor of level >= 2 anywhere in the tower, or another root
+    for text in ("A@3(+2)", "A@3(+2)(+1)", "cp(3,1,A@3)", "C@3(+1)"):
+        with pytest.raises(LeafOutsideDomain):
+            apply_subst(e(text, ctx.atoms), g)
 
 
 def test_T_set_missing_m_is_loud():
