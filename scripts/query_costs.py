@@ -9,15 +9,18 @@ R times through `ordclass.cli.run_command`, each time in a fresh `Session`
 inside a temporary directory (the exports are written there).  Every command
 is timed with time.perf_counter.  For each verb it prints the number of
 commands and the median and p90 of their times in ms, each the best of the
-R runs.  Unlike perfbench/run.py it starts no child process, runs no
-reference kernel and scales no time, so its numbers compare verbs within
-one run, not machines; the oracle-warm script runs without a cache.
+R runs.  A first `startup` row gives the median and p90 time to import
+`ordclass.cli` and build a `Session` in R fresh interpreters, after one
+untimed interpreter that writes the bytecode cache.  Unlike perfbench/run.py
+it runs no reference kernel and scales no time, so its numbers compare verbs
+within one run, not machines; the oracle-warm script runs without a cache.
 """
 
 import argparse
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -35,6 +38,26 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+STARTUP = (
+    "import time; t = time.perf_counter(); import ordclass.cli as cli; cli.Session();"
+    " print((time.perf_counter() - t) * 1e3)"
+)
+
+
+def time_startup(repeat):
+    """The ms to import ordclass.cli and build a Session in each of repeat
+    fresh interpreters, after one untimed interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    times = []
+    for _ in range(repeat + 1):
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP], env=env, capture_output=True, text=True, check=True
+        )
+        times.append(float(proc.stdout))
+    return times[1:]
 
 
 def time_script(lines):
@@ -71,6 +94,7 @@ def main(argv=None):
         parser.error("--repeat must be at least 1")
 
     lines = workloads.script(ns.workload, ns.seed)
+    startup = time_startup(ns.repeat)
     runs = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -86,6 +110,8 @@ def main(argv=None):
         f" Python {sys.version.split()[0]}"
     )
     print(f"{'verb':<12}{'count':>7}{'median_ms':>12}{'p90_ms':>12}")
+    median, tail = statistics.median(startup), p90(startup)
+    print(f"{'startup':<12}{len(startup):>7}{median:>12.4g}{tail:>12.4g}")
     for verb in runs[0]:
         median = min(statistics.median(run[verb]) for run in runs)
         tail = min(p90(run[verb]) for run in runs)

@@ -19,7 +19,6 @@ import os
 import re
 import shlex
 import sys
-from dataclasses import dataclass, field
 
 from . import terms as tm
 from .context import ClassContext, NEG_INFINITY, lambda_locate
@@ -30,12 +29,12 @@ from .oracle import ANCHOR_OPS, GRID_CAP, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
-@dataclass
 class Session:
-    context: ClassContext = field(default_factory=ClassContext)
-    grids: dict = field(default_factory=dict)  # name -> Leq1Relation
-    cache_dir: str | None = None
-    grid_cap: int = GRID_CAP
+    def __init__(self, context=None, grids=None, cache_dir=None, grid_cap=GRID_CAP):
+        self.context = ClassContext() if context is None else context
+        self.grids = {} if grids is None else grids  # name -> Leq1Relation
+        self.cache_dir = cache_dir
+        self.grid_cap = grid_cap
 
 
 # verb -> handler, and verb -> the names of its arguments, in order: [X] is

@@ -12,8 +12,6 @@ limit operators are sample-relative, which the CLI flags with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import terms as tm
 from .context import chain_bound
 from .errors import LevelViolation, Undecidable
@@ -128,15 +126,14 @@ def S_interval_via_domain(source, i, alpha, r, t, universe):
     return tuple(q for q in window if all(g.contains(e) for e in tm.ep_set(q)))
 
 
-@dataclass(frozen=True)
-class Transport:
+class Transport(tm.Frozen):
     """R(t) = t[g(k, r, kappa)] with inverse H(s) = s[g(k, kappa, r)]."""
 
-    k: int
-    r: tm.EpsLeaf
-    kappa: tm.EpsLeaf
-    forward: object
-    backward: object
+    __slots__ = ("k", "r", "kappa", "forward", "backward")
+
+    def __init__(self, k: int, r: tm.EpsLeaf, kappa: tm.EpsLeaf, forward, backward):
+        for name, value in zip(self.__slots__, (k, r, kappa, forward, backward)):
+            object.__setattr__(self, name, value)
 
     def R_of(self, t: tm.OrdTerm) -> tm.OrdTerm:
         return apply_subst(t, self.forward)

@@ -40,24 +40,23 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 
 from . import terms as tm
 from .errors import GridCapExceeded, LevelViolation, OrdinalError
 from .grammar import render_ord
 
 
-@dataclass(frozen=True)
-class GridOps:
+class GridOps(tm.Frozen):
     """Closure operations, with the finiteness knobs recorded alongside."""
 
-    add: bool = True
-    double: bool = True
-    succ: bool = True
-    tower_height: int = 2
-    coeff_cap: int | None = None
-    tail_cap: int | None = None
-    max_monomials: int | None = None
+    __slots__ = ("add", "double", "succ", "tower_height", "coeff_cap", "tail_cap", "max_monomials")
+
+    def __init__(self, add=True, double=True, succ=True, tower_height=2,
+                 coeff_cap=None, tail_cap=None, max_monomials=None):
+        # the three caps are ints, or None for no cap
+        values = (add, double, succ, tower_height, coeff_cap, tail_cap, max_monomials)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def admits(self, t: tm.OrdTerm) -> bool:
         monos = tm.monomials_of(t)
@@ -77,31 +76,30 @@ class GridOps:
 ANCHOR_OPS = GridOps(tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2)
 
 
-@dataclass(frozen=True)
-class Grid:
-    points: tuple[tm.OrdTerm, ...]
-    bound: tm.OrdTerm
-    ops: GridOps
-    # point -> its position in `points`; terms are normal forms, so equal
-    # ordinals are equal (and equally hashed) terms
-    ranks: dict = field(init=False, repr=False, compare=False)
-    # id(point) -> its position, so that the grid's own point objects are
-    # found without hashing them
-    ids: dict = field(init=False, repr=False, compare=False)
+class Grid(tm.Frozen):
+    """The points in increasing order, with the bound and ops that closed them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", {p: i for i, p in enumerate(self.points)})
-        object.__setattr__(self, "ids", {id(p): i for i, p in enumerate(self.points)})
+    def __init__(self, points: tuple[tm.OrdTerm, ...], bound: tm.OrdTerm, ops: GridOps):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "ops", ops)
+        # point -> its position in `points`; terms are normal forms, so equal
+        # ordinals are equal (and equally hashed) terms
+        object.__setattr__(self, "ranks", {p: i for i, p in enumerate(points)})
+        # id(point) -> its position, so that the grid's own point objects are
+        # found without hashing them
+        object.__setattr__(self, "ids", {id(p): i for i, p in enumerate(points)})
+
+    def __reduce__(self):
+        return Grid, (self.points, self.bound, self.ops)
 
     def rank_of(self, t: tm.OrdTerm) -> int | None:
         """The position of t in `points`, or None if t is not a grid point.
 
-        An id hit is confirmed by identity: a copy of the grid carries the
-        ids of the original's points, which other objects may reuse."""
+        The grid holds its points, so no other live object has the id of
+        one; a copy of the grid builds its `ids` from its own points."""
         i = self.ids.get(id(t))
-        if i is not None and self.points[i] is t:
-            return i
-        return self.ranks.get(t)
+        return self.ranks.get(t) if i is None else i
 
     def index(self, t: tm.OrdTerm) -> int:
         i = self.rank_of(t)
@@ -195,14 +193,14 @@ def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = GRID_CAP)
 # the relation
 
 
-@dataclass
 class Leq1Relation:
-    grid: Grid
-    frontiers: tuple[int, ...]
-    rounds: int
-    # (alpha, k) -> the ranks that place a point in alpha's level-k interval,
-    # filled by the grid eta/ell of `skeleton`
-    windows: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, grid: Grid, frontiers: tuple[int, ...], rounds: int, windows=None):
+        self.grid = grid
+        self.frontiers = frontiers
+        self.rounds = rounds
+        # (alpha, k) -> the ranks that place a point in alpha's level-k
+        # interval, filled by the grid eta/ell of `skeleton`
+        self.windows = {} if windows is None else windows
 
     # -- queries -------------------------------------------------------------
 

@@ -9,8 +9,6 @@ ClassContext.m_of.  g-maps read no m and take no source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import terms as tm
 from .context import ClassContext, chain_bound, lambda_locate, succ_chain
 from .errors import (
@@ -257,11 +255,13 @@ def l_compute(source, k, alpha, t):
 # canonical sequences
 
 
-@dataclass(frozen=True)
-class CanonicalData:
-    x: tm.OrdTerm
-    gamma: tm.OrdTerm
-    o_chain: tuple[tm.EpsLeaf, ...]  # o_1 > ... > o_i = e (empty for i = 1)
+class CanonicalData(tm.Frozen):
+    __slots__ = ("x", "gamma", "o_chain")
+
+    def __init__(self, x: tm.OrdTerm, gamma: tm.OrdTerm, o_chain: tuple[tm.EpsLeaf, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "o_chain", o_chain)  # o_1 > ... > o_i = e (empty for i = 1)
 
 
 def _symbolic_gamma(e: tm.EpsLeaf, k: int) -> tm.OrdTerm:

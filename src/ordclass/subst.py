@@ -9,7 +9,6 @@ over c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import terms as tm
@@ -29,11 +28,13 @@ class MapOrder(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
-class SubstMap:
-    overrides: tuple[tuple[tm.EpsLeaf, tm.EpsLeaf], ...]
-    threshold: tm.EpsLeaf | None = None
-    rebase: tuple[int, tm.EpsLeaf, tm.EpsLeaf] | None = None  # (n, alpha, c)
+class SubstMap(tm.Frozen):
+    __slots__ = ("overrides", "threshold", "rebase")
+
+    def __init__(self, overrides, threshold=None, rebase=None):
+        object.__setattr__(self, "overrides", overrides)  # ((leaf, leaf), ...)
+        object.__setattr__(self, "threshold", threshold)  # a leaf or None
+        object.__setattr__(self, "rebase", rebase)  # (n, alpha, c) or None
 
     def lookup(self, e: tm.EpsLeaf) -> tm.EpsLeaf:
         for src, dst in self.overrides:

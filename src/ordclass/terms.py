@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import LevelViolation, OrderUndecidable
@@ -25,53 +24,120 @@ class Ordering(IntEnum):
 LT, EQ, GT = Ordering.LT, Ordering.EQ, Ordering.GT
 
 
+class Frozen:
+    """An immutable value: its fields, in constructor order, are its
+    __slots__ (or its own __reduce__'s arguments), set once in __init__.
+    Values are equal and hash as their field tuples; copies are rebuilt.
+    Each leaf and term class spells out its own __eq__ and __hash__, for
+    speed and for the counters of perfbench/tracer.py."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+
 # ---------------------------------------------------------------------------
 # leaves
 
 
-@dataclass(frozen=True)
-class ConcreteEps:
+class ConcreteEps(Frozen):
     """eps(index): the index-th epsilon number, index an atom-free term."""
 
-    index: "OrdTerm"
+    __slots__ = ("index",)
+
+    def __init__(self, index: OrdTerm):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index,) == (other.index,)
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return f"eps({self.index!r})"
 
 
-@dataclass(frozen=True)
-class ClassAtom:
+class ClassAtom(Frozen):
     """A declared symbolic ordinal of the given class level."""
 
-    name: str
-    level: int
-    rank: int
+    __slots__ = ("name", "level", "rank")
+
+    def __init__(self, name: str, level: int, rank: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.level, self.rank) == (other.name, other.level, other.rank)
+
+    def __hash__(self):
+        return hash((self.name, self.level, self.rank))
 
     def __repr__(self):
         return f"{self.name}@{self.level}"
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Frozen):
     """base(+^k): least Class(k) element above base; requires level(base) >= k."""
 
-    base: "EpsLeaf"
-    k: int
+    __slots__ = ("base", "k")
+
+    def __init__(self, base: EpsLeaf, k: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.k) == (other.base, other.k)
+
+    def __hash__(self):
+        return hash((self.base, self.k))
 
     def __repr__(self):
         return f"{self.base!r}(+{self.k})"
 
 
-@dataclass(frozen=True)
-class CanonicalPoint:
+class CanonicalPoint(Frozen):
     """k-th canonical point of level `level` over base, i.e. x_k(level+1, base).
 
     Requires level(base) >= level + 1.
     """
 
-    level: int
-    base: "EpsLeaf"
-    k: int
+    __slots__ = ("level", "base", "k")
+
+    def __init__(self, level: int, base: EpsLeaf, k: int):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.base, self.k) == (other.level, other.base, other.k)
+
+    def __hash__(self):
+        return hash((self.level, self.base, self.k))
 
     def __repr__(self):
         return f"cp({self.level + 1},{self.k},{self.base!r})"
@@ -196,27 +262,54 @@ def _digits(n: int) -> str:
         return f"<{n.bit_length()}-bit number>"
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Frozen):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self):
+        return hash(())  # the hash of its empty field tuple
+
     def __repr__(self):
         return "0"
 
 
-@dataclass(frozen=True)
-class NatSum:
+class NatSum(Frozen):
     """A finite ordinal n >= 1."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n,) == (other.n,)
+
+    def __hash__(self):
+        return hash((self.n,))
 
     def __repr__(self):
         return _digits(self.n)
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(Frozen):
     """Sum of monomials (exponent, coefficient), exponents strictly decreasing."""
 
-    monomials: tuple[tuple["OrdTerm", int], ...]
+    __slots__ = ("monomials",)
+
+    def __init__(self, monomials: tuple[tuple[OrdTerm, int], ...]):
+        object.__setattr__(self, "monomials", monomials)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.monomials,) == (other.monomials,)
+
+    def __hash__(self):
+        return hash((self.monomials,))
 
     def __repr__(self):
         return "+".join(
@@ -224,9 +317,19 @@ class Cnf:
         )
 
 
-@dataclass(frozen=True)
-class Leaf:
-    leaf: EpsLeaf
+class Leaf(Frozen):
+    __slots__ = ("leaf",)
+
+    def __init__(self, leaf: EpsLeaf):
+        object.__setattr__(self, "leaf", leaf)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.leaf,) == (other.leaf,)
+
+    def __hash__(self):
+        return hash((self.leaf,))
 
     def __repr__(self):
         return repr(self.leaf)
@@ -391,13 +494,13 @@ def left_subtract(a: OrdTerm, b: OrdTerm) -> OrdTerm:
     return from_monomials(mb[i:])
 
 
-@dataclass(frozen=True)
-class Flags:
-    is_zero: bool
-    is_successor: bool
-    is_limit: bool
-    is_principal: bool
-    is_epsilon: bool
+class Flags(Frozen):
+    __slots__ = ("is_zero", "is_successor", "is_limit", "is_principal", "is_epsilon")
+
+    def __init__(self, is_zero, is_successor, is_limit, is_principal, is_epsilon):
+        values = (is_zero, is_successor, is_limit, is_principal, is_epsilon)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def classify(t: OrdTerm) -> Flags:

@@ -6,6 +6,8 @@ import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -25,6 +27,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_starting_the_cli_loads_no_dataclasses_machinery():
+    # `dataclasses` imports inspect, ast, dis and tokenize, and each of its
+    # decorators compiles generated source at import: together they would be
+    # most of the time to import the CLI
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import ordclass.cli as cli; cli.Session(); "
+        "mods = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize'); "
+        "print(*(m for m in mods if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_eval_normalizes(capsys):

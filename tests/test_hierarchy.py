@@ -1,11 +1,12 @@
 import inspect
 
 import pytest
+from hypothesis import Phase, example, given, reject, settings, strategies as st
 
 from conftest import EPS
 from ordclass import terms as tm
 from ordclass.context import ClassContext, chain_bound, lambda_locate
-from ordclass.errors import Undecidable
+from ordclass.errors import GridCapExceeded, LevelViolation, Undecidable
 from ordclass.grammar import parse_ord, render_ord
 from ordclass.hierarchy import (
     A_degenerate,
@@ -19,6 +20,7 @@ from ordclass.hierarchy import (
     _t_below,
     leq1_query,
 )
+from ordclass.oracle import ANCHOR_OPS, GridOps, build_grid, leq1_fixpoint
 from ordclass.skeleton import canonical_point, eta_compute, g_map, l_compute
 
 e = parse_ord
@@ -214,3 +216,91 @@ def test_M_transport_symbolic():
     for t in pts:
         assert tm.eq(tr.H_of(tr.R_of(t)), t)
     assert tm.eq(tr.R_of(tm.Leaf(r)), tm.Leaf(kappa))
+
+
+# ---------------------------------------------------------------------------
+# grid G-sets where the grid holds beta*2: grid eta(1, alpha, t) is at least
+# the chain bound alpha*2, so eta[g] + 1 lies above beta*2, which bounds
+# m-hat(beta) when beta*2 is a grid point, and leq1_query says no
+
+DRAWN_BOUNDS = [
+    "eps(1)", "eps(2)", "eps(3)", "eps(0)*3", "eps(1)*3", "eps(2)*3", "w^w", "w^(eps(0)+1)"
+]
+drawn_seeds = st.lists(
+    st.sampled_from(["eps(0)", "eps(1)", "eps(2)", "eps(0)+1", "w*2", "eps(0)*2+w"]),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+CAPS = st.one_of(st.none(), st.integers(1, 3))
+double_ops = st.builds(
+    GridOps,
+    add=st.booleans(),
+    double=st.just(True),
+    succ=st.booleans(),
+    tower_height=st.integers(0, 3),
+    coeff_cap=CAPS,
+    tail_cap=CAPS,
+    max_monomials=CAPS,
+)
+
+# coeff_cap 1 rejects eps(0)*2: on eps(1) with seed eps(0) the grid is 0, 1,
+# w, eps(0), w^(eps(0)+1), and m-hat(eps(0)) = w^(eps(0)+1) puts eps(0) in
+# G(eps(0)) at alpha = t = eps(0)
+CAPPED_DOUBLE = GridOps(
+    add=False, succ=False, tower_height=1, coeff_cap=1, tail_cap=1, max_monomials=1
+)
+
+
+def drawn_rel(ops, bound, seeds):
+    try:
+        return leq1_fixpoint(build_grid(e(bound), [e(s) for s in seeds], ops, cap=40))
+    except GridCapExceeded:
+        reject()
+
+
+def grid_members(rel):
+    """(alpha, t, beta) for every row of G_set(rel, 2, alpha, t, epsilons)
+    that the grid decides as a member, over every epsilon alpha and every
+    point t; a call that raises LevelViolation has no rows."""
+    epsilons = grid_eps(rel)
+    found = []
+    for alpha in epsilons:
+        for t in rel.grid.points:
+            try:
+                rows = G_set(rel, 2, alpha, t, epsilons)
+            except LevelViolation:
+                continue
+            found += [(alpha, t, beta) for beta, member, why in rows if member and why == "grid"]
+    return found
+
+
+def test_grid_G_sets_are_empty_on_the_anchor_grid(anchor_rel):
+    assert grid_members(anchor_rel) == []
+
+
+@given(st.sampled_from(DRAWN_BOUNDS), drawn_seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_grid_G_sets_are_empty_on_preset_grids(bound, seeds):
+    assert grid_members(drawn_rel(ANCHOR_OPS, bound, seeds)) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="double=True does not put beta*2 in the grid when a cap rejects it: "
+    "then m-hat(beta) lies above beta*2 and the grid decides beta a member",
+)
+@given(double_ops, st.sampled_from(DRAWN_BOUNDS), drawn_seeds)
+@example(CAPPED_DOUBLE, "eps(1)", ["eps(0)"])
+@settings(max_examples=20, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
+def test_grid_G_sets_are_empty_on_double_grids(ops, bound, seeds):
+    assert grid_members(drawn_rel(ops, bound, seeds)) == []
+
+
+@given(double_ops, st.sampled_from(DRAWN_BOUNDS), drawn_seeds)
+@example(CAPPED_DOUBLE, "eps(1)", ["eps(0)"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_grid_G_set_members_lie_where_beta_doubled_is_off_the_grid(ops, bound, seeds):
+    rel = drawn_rel(ops, bound, seeds)
+    for _, _, beta in grid_members(rel):
+        assert tm.mul(tm.Leaf(beta), tm.nat(2)) not in rel.grid

@@ -96,9 +96,11 @@ def test_query_costs_prints_every_verb_of_the_workload():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("oracle-warm, seed 21: best of 1 in-process runs")
     assert lines[1].split() == ["verb", "count", "median_ms", "p90_ms"]
+    assert lines[2].split()[:2] == ["startup", "1"]
     rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
     assert set(rows) == {
-        "grid", "leq1", "mhat", "eta", "ell", "gset", "astep", "canon", "classdetect", "export"
+        "startup", "grid", "leq1", "mhat", "eta", "ell", "gset", "astep", "canon", "classdetect",
+        "export",
     }
     assert rows["grid"][0] == "1" and rows["classdetect"][0] == "3"
     for count, median, tail in rows.values():
