@@ -30,9 +30,9 @@ from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
 class Session:
-    def __init__(self, context=None, grids=None, cache_dir=None, grid_cap=GRID_CAP):
-        self.context = ClassContext() if context is None else context
-        self.grids = {} if grids is None else grids  # name -> Leq1Relation
+    def __init__(self, cache_dir=None, grid_cap=GRID_CAP):
+        self.context = ClassContext()
+        self.grids = {}  # name -> Leq1Relation
         self.cache_dir = cache_dir
         self.grid_cap = grid_cap
 
@@ -59,7 +59,6 @@ def _leaf(session, text):
     t = _term(session, text)
     if not isinstance(t, tm.Leaf):
         raise OrdinalError(f"{text!r} is not an epsilon leaf")
-    session.context.register(t.leaf)
     return t.leaf
 
 
@@ -106,7 +105,7 @@ def _render(rel, t):
 # integer by int(text), any other by reader(session, text).
 _READERS = {
     **dict.fromkeys(("LEVEL", "N", "K", "J", "I"), int),
-    **dict.fromkeys(("ALPHA", "E", "C"), _leaf),  # registered in the context
+    **dict.fromkeys(("ALPHA", "E", "C"), _leaf),
     **dict.fromkeys(("EXPR", "T", "A", "B", "L", "BOUND", "SEED"), _term),
     "GRID": _grid,
     "NAME": _text,

@@ -125,7 +125,7 @@ class ClassContext:
 
     def leaves_between(self, lo: tm.OrdTerm, hi: tm.OrdTerm, min_level=1):
         """Known leaves in the open interval (lo, hi), increasing."""
-        inside = self.leaf_terms_in(lo, hi, hi_closed=False)
+        inside = self.leaf_terms_in(lo, hi)
         if inside is None:
             return self.scan_leaves_between(lo, hi, min_level)
         return tuple(r.leaf for r in inside if tm.leaf_level(r.leaf) >= min_level)
@@ -142,12 +142,10 @@ class ClassContext:
         ]
         return tm.sort_leaves(out)
 
-    def leaf_terms_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm, hi_closed=True):
-        """Known leaves r (as terms) with lo < r <= hi, or r < hi if not
-        hi_closed, increasing; None when the leaf index cannot answer."""
-        return self._leaf_index.between(
-            map(tm.Leaf, self.known_leaves), lo, hi, hi_closed
-        )
+    def leaf_terms_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
+        """Known leaves r (as terms) with lo < r < hi, increasing; None when
+        the leaf index cannot answer."""
+        return self._leaf_index.between(map(tm.Leaf, self.known_leaves), lo, hi, False)
 
     # -- m-values ------------------------------------------------------------
 

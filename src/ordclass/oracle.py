@@ -194,13 +194,13 @@ def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = GRID_CAP)
 
 
 class Leq1Relation:
-    def __init__(self, grid: Grid, frontiers: tuple[int, ...], rounds: int, windows=None):
+    def __init__(self, grid: Grid, frontiers: tuple[int, ...], rounds: int):
         self.grid = grid
         self.frontiers = frontiers
         self.rounds = rounds
         # (alpha, k) -> the ranks that place a point in alpha's level-k
         # interval, filled by the grid eta/ell of `skeleton`
-        self.windows = {} if windows is None else windows
+        self.windows = {}
 
     # -- queries -------------------------------------------------------------
 

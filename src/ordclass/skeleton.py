@@ -14,7 +14,6 @@ from .context import ClassContext, chain_bound, lambda_locate, succ_chain
 from .errors import (
     IterationCapExceeded,
     LevelViolation,
-    MissingMValue,
     OrderUndecidable,
     RegimeMixed,
     Undecidable,
@@ -54,46 +53,21 @@ def _inside(r, a, t):
     return tm.compare(r, a) is GT and tm.compare(r, t) is not GT
 
 
-def _structural_candidates(ctx, k, alpha, t):
-    """(r, m(r)) for every known r in (alpha, t] whose m is available.
+def _structural_candidates(ctx, chain, bound, t):
+    """{r: m(r)} for the candidates r in (alpha, t]: the points of alpha's
+    chain below alpha(+^k) (chain = succ_chain(alpha, k), each with the
+    chain bound as its m), the m-annotated terms, and t itself.
 
-    The m-annotated terms and the known leaves in (alpha, t] are bisected
-    out of the context's sorted indexes; where an index cannot answer,
-    every annotation and leaf is tested instead (`_scan_candidates`).
+    The annotated terms are bisected out of the context's sorted index of
+    them; where it cannot answer, every annotation is tested instead.
     """
-    a = tm.Leaf(alpha)
+    a = tm.Leaf(chain[0])
     keys = ctx.m_keys_in(a, t)
-    leaves = None if keys is None else ctx.leaf_terms_in(a, t)
-    if leaves is None:
-        return _scan_candidates(ctx, k, alpha, t)
-    return _gather(ctx, k, alpha, t, keys, leaves)
-
-
-def _scan_candidates(ctx, k, alpha, t):
-    """_structural_candidates by testing every annotation and leaf: the
-    answer where an index has none, and the reference the tests hold the
-    indexed answer to."""
-    a = tm.Leaf(alpha)
-    keys = (r for r in ctx.m_table if _inside(r, a, t))
-    leaves = (r for r in map(tm.Leaf, ctx.known_leaves) if _inside(r, a, t))
-    return _gather(ctx, k, alpha, t, keys, leaves)
-
-
-def _gather(ctx, k, alpha, t, keys, leaves):
-    """The candidates from the chain below alpha(+^k), the annotated terms
-    `keys` and the known leaves `leaves`, each inside (alpha, t]."""
-    a = tm.Leaf(alpha)
-    chain = [tm.Leaf(r) for r in succ_chain(alpha, k)]
-    bound = tm.mul(chain[-1], tm.nat(2))  # chain_bound(alpha, k)
-    out = {r: bound for r in chain[1:] if _inside(r, a, t)}
+    if keys is None:
+        keys = (r for r in ctx.m_table if _inside(r, a, t))
+    out = {r: bound for r in map(tm.Leaf, chain[1:]) if _inside(r, a, t)}
     for r in keys:
         out[r] = ctx.m_table[r]
-    for r in leaves:
-        if r not in out:
-            try:
-                out[r] = ctx.m_of(r)
-            except MissingMValue:
-                pass
     if t not in out:
         out[t] = ctx.m_of(t)
     return out
@@ -101,19 +75,19 @@ def _gather(ctx, k, alpha, t, keys, leaves):
 
 def _m_pairs(k, alpha, t, ctx):
     """(bound, triples): the chain bound of alpha, and None if t is at most
-    it, else an (r, m(r), rank) for each r in (alpha, t] whose m the
-    context knows.
+    it, else an (r, m(r), rank) for each candidate r in (alpha, t].
 
     Ranks order m-values as integers, equal values with equal ranks: the
     rank of an annotated value (ClassContext.m_ranks).  A derived m has
     rank None.
     """
     _check_interval(k, alpha, t)
-    bound = chain_bound(alpha, k)
+    chain = succ_chain(alpha, k)
+    bound = tm.mul(tm.Leaf(chain[-1]), tm.nat(2))  # chain_bound(alpha, k)
     if tm.compare(t, bound) is not GT:
         return bound, None
     ranks = ctx.m_ranks() or {}
-    pairs = _structural_candidates(ctx, k, alpha, t).items()
+    pairs = _structural_candidates(ctx, chain, bound, t).items()
     return bound, [(r, m, ranks.get(id(m))) for r, m in pairs]
 
 
@@ -172,62 +146,75 @@ def _grid_span(k, alpha, t, rel):
     return bound, range(start, i + 1)
 
 
-def _greatest(triples):
-    """The greatest m of the triples, and its rank (None if no ranked m is
-    that great).  Ranked m's are ordered by rank; an unranked m is compared
-    as a term with the greatest so far."""
-    best, top = None, -1
-    for _, m, rank in triples:
-        if rank is not None and rank > top:
-            best, top = m, rank
-    if best is None:
-        top = None
-    for _, m, rank in triples:
-        if rank is None and (best is None or tm.compare(m, best) is GT):
-            best, top = m, None
-    return best, top
+def _order(x, y):
+    """The order of two (value, rank) pairs: by rank where both have one,
+    else by comparing the values."""
+    i, j = x[1], y[1]
+    if i is None or j is None:
+        return tm.compare(x[0], y[0])
+    return GT if i > j else LT if i < j else EQ
 
 
-def _extreme(values, side):
-    """The first of the values that no later one lies beyond on `side`
-    (GT for the greatest, LT for the least)."""
-    best = None
-    for v in values:
-        if best is None or tm.compare(v, best) is side:
-            best = v
+def _decided(p, q):
+    """_order(p, q), or None where it is undecidable."""
+    try:
+        return _order(p, q)
+    except OrderUndecidable:
+        return None
+
+
+def _extremum(pairs, side):
+    """The (value, rank) pair whose value lies at or beyond every other on
+    `side` (GT for the greatest, LT for the least), through chains of
+    decided comparisons; ranks order the ranked values.
+
+    A value with no decided order against the best so far waits.  The
+    waiting values are retried whenever the best moves, and at the end each
+    is placed by a value already placed at or short of the best.
+    OrderUndecidable if some value is still waiting then.
+    """
+    queue = list(pairs)
+    best, placed, waiting = queue.pop(0), [], []
+    for p in queue:  # retried values join its end
+        order = _decided(p, best)
+        if order is None:
+            waiting.append(p)
+        elif order is side:
+            placed.append(best)
+            best = p
+            queue += waiting
+            waiting = []
+        else:
+            placed.append(p)
+    while waiting:
+        left = []
+        for p in waiting:
+            short = any(_decided(p, q) not in (side, None) for q in placed)
+            (placed if short else left).append(p)
+        if len(left) == len(waiting):
+            raise OrderUndecidable(left[0][0], best[0])
+        waiting = left
     return best
 
 
-def _eta_of(triples):
-    """The greatest m of the triples: on ranks where it can be taken there;
-    if that meets an undecidable pair, every m is compared as a term."""
-    try:
-        return _greatest(triples)[0]
-    except OrderUndecidable:
-        return _extreme((m for _, m, _ in triples), GT)
-
-
-def _ell_of(triples):
-    """The least r of the triples whose m is the greatest."""
-    try:
-        eta, top = _greatest(triples)
-        at_top = [
-            r
-            for r, m, rank in triples
-            if (rank == top if rank is not None else tm.compare(m, eta) is EQ)
-        ]
-    except OrderUndecidable:
-        eta = _extreme((m for _, m, _ in triples), GT)
-        at_top = (r for r, m, _ in triples if tm.compare(m, eta) is EQ)
-    return _extreme(at_top, LT)
+def _greatest_m(triples):
+    """(m, rank) for the greatest m of the (r, m, rank) triples.  The ranked
+    m's go first, the top rank first, so that the other ranked m's are
+    placed by their ranks and only the unranked ones are compared as
+    terms."""
+    pairs = [(m, rank) for _, m, rank in triples]
+    pairs.sort(key=lambda p: -1 if p[1] is None else p[1], reverse=True)
+    return _extremum(pairs, GT)
 
 
 def eta_compute(source, k, alpha, t):
     """max m over (alpha, t], with the degenerate chain value on the low part.
 
     On a grid, m-hat(r) is the point at r's frontier, so the maximum is the
-    point at the largest frontier of the span.  In a context it is taken
-    over the candidates' m-values (_eta_of).
+    point at the largest frontier of the span.  In a context it is the
+    greatest m over the candidates, which are stated facts only: the points
+    of alpha's chain below alpha(+^k), the m-annotated terms in (alpha, t],
+    and t.  A registered leaf is no candidate unless it is one of these.
     """
     if isinstance(source, Leq1Relation):
         bound, span = _grid_span(k, alpha, t, source)
@@ -235,7 +222,7 @@ def eta_compute(source, k, alpha, t):
             return bound
         return source.grid.points[max(source.frontiers[span.start : span.stop])]
     bound, triples = _m_pairs(k, alpha, t, source)
-    return bound if triples is None else _eta_of(triples)
+    return bound if triples is None else _greatest_m(triples)[0]
 
 
 def l_compute(source, k, alpha, t):
@@ -248,7 +235,16 @@ def l_compute(source, k, alpha, t):
         top = max(f[span.start : span.stop])
         return source.grid.points[f.index(top, span.start, span.stop)]
     bound, triples = _m_pairs(k, alpha, t, source)
-    return bound if triples is None else _ell_of(triples)
+    if triples is None:
+        return bound
+    eta, top = _greatest_m(triples)
+    # ranks number the distinct values, and an unranked eta lies above every
+    # ranked m (_greatest_m starts at the top rank and only moves up); normal
+    # forms are unique, so an unranked m reaches eta if it is == eta
+    at_top = [
+        (r, None) for r, m, rank in triples if (m == eta if rank is None else rank == top)
+    ]
+    return _extremum(at_top, LT)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +315,8 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm):
         return tm.ep_set(t)
     a = tm.Leaf(alpha)
     if not isinstance(t, tm.Leaf):
-        acc: list[tm.EpsLeaf] = []
-        for e in tm.ep_set(t):
-            for member in T_set(ctx, n, alpha, tm.Leaf(e)):
-                if member not in acc:
-                    acc.append(member)
-        return tm.sort_leaves(acc, reverse=True)
+        members = (x for e in tm.ep_set(t) for x in T_set(ctx, n, alpha, tm.Leaf(e)))
+        return tm.sort_leaves(members, reverse=True)
     leaf = t.leaf
     if tm.compare(t, a) is not GT:
         return (leaf,)

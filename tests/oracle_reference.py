@@ -6,8 +6,12 @@
 - Grid eta and l by term comparisons: `reference_m_pairs` checks t's place
   in alpha's interval with `terms.compare` and lists an (r, m-hat(r), rank)
   triple for every grid point r in (alpha, t]; `reference_eta` and
-  `reference_ell` take the maximum over the triples as the structural
-  eta/l do.
+  `reference_ell` take the maximum over the triples with `_eta_of` and
+  `_ell_of`.
+- The maximum of (r, m, rank) triples as the structural eta/l once took it
+  (`_greatest`, `_extreme`, `_eta_of`, `_ell_of`): a ranked pass that is
+  rerun as a term loop when it meets an undecidable pair.  Wherever it
+  answers, the one-pass maximum of `skeleton` must give the same answer.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import itertools
 
 from ordclass import terms as tm
 from ordclass.context import chain_bound
-from ordclass.skeleton import _check_interval, _ell_of, _eta_of
-from ordclass.terms import GT, LT
+from ordclass.errors import OrderUndecidable
+from ordclass.skeleton import _check_interval
+from ordclass.terms import EQ, GT, LT
 
 
 def _eps_split(y, alpha_leaf):
@@ -153,3 +158,53 @@ def reference_eta(k, alpha, t, rel):
 def reference_ell(k, alpha, t, rel):
     bound, triples = reference_m_pairs(k, alpha, t, rel)
     return bound if triples is None else _ell_of(triples)
+
+
+def _greatest(triples):
+    """The greatest m of the triples, and its rank (None if no ranked m is
+    that great).  Ranked m's are ordered by rank; an unranked m is compared
+    as a term with the greatest so far."""
+    best, top = None, -1
+    for _, m, rank in triples:
+        if rank is not None and rank > top:
+            best, top = m, rank
+    if best is None:
+        top = None
+    for _, m, rank in triples:
+        if rank is None and (best is None or tm.compare(m, best) is GT):
+            best, top = m, None
+    return best, top
+
+
+def _extreme(values, side):
+    """The first of the values that no later one lies beyond on `side`
+    (GT for the greatest, LT for the least)."""
+    best = None
+    for v in values:
+        if best is None or tm.compare(v, best) is side:
+            best = v
+    return best
+
+
+def _eta_of(triples):
+    """The greatest m of the triples: on ranks where it can be taken there;
+    if that meets an undecidable pair, every m is compared as a term."""
+    try:
+        return _greatest(triples)[0]
+    except OrderUndecidable:
+        return _extreme((m for _, m, _ in triples), GT)
+
+
+def _ell_of(triples):
+    """The least r of the triples whose m is the greatest."""
+    try:
+        eta, top = _greatest(triples)
+        at_top = [
+            r
+            for r, m, rank in triples
+            if (rank == top if rank is not None else tm.compare(m, eta) is EQ)
+        ]
+    except OrderUndecidable:
+        eta = _extreme((m for _, m, _ in triples), GT)
+        at_top = (r for r, m, _ in triples if tm.compare(m, eta) is EQ)
+    return _extreme(at_top, LT)

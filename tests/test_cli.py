@@ -634,6 +634,25 @@ def test_grid_answers_do_not_depend_on_query_history(anchor_rel):
     assert len(answers[0]) == len(set(lines)) > 400
 
 
+def test_symbolic_l3_answers_do_not_depend_on_query_history():
+    """The benchmark's seed-21 symbolic-l3 query lines answer the same in
+    script order and shuffled, each run after the same declare/canon lines."""
+    script = _perfbench_workloads().symbolic_l3(21)
+    lines = [line for line in script if line.split()[0] not in ("declare", "canon")]
+    setup = script[: len(script) - len(lines)]
+    assert setup + lines == script
+    shuffled = list(lines)
+    random.Random(5).shuffle(shuffled)
+    answers = []
+    for order in (lines, shuffled):
+        session = Session()
+        for line in setup:
+            run_command(session, line)
+        answers.append({line: _outcome(session, line) for line in order})
+    assert answers[0] == answers[1]
+    assert len(answers[0]) > 500
+
+
 def test_two_grids_keep_their_own_windows():
     """Two grids queried with the same alpha keep their own window entries,
     and each answers as the reference does on it; eps(0) is a point of g
@@ -719,11 +738,6 @@ def test_random_commands_return_or_raise_domain_errors(command):
         pass
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an ALPHA/E/C argument is registered in the context (cli._leaf), and "
-    "structural eta then counts that leaf as a candidate",
-)
 def test_symbolic_answers_do_not_depend_on_query_history():
     session = Session()
     run_command(session, "declare A 3")

@@ -4,23 +4,29 @@ linear scans and term comparisons they replace.
 `ScanContext` never lets an index or the rank table answer, so every query
 on it runs the scan that tests each m-annotation and known leaf, and
 `eta`/`ell` compare every m-value as a term.  Wherever that reference
-returns, the indexed context must return the same answer.
+returns, the indexed context must return the same answer.  Wherever the
+ranked pass that eta/ell once ran (`oracle_reference._eta_of`/`_ell_of`)
+answers over the same candidates, the one-pass maximum gives that answer.
 """
 
-import pytest
+import itertools
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import EPS
+from oracle_reference import _ell_of, _eta_of
 from ordclass import terms as tm
-from ordclass.context import ClassContext, chain_down
+from ordclass.cli import main
+from ordclass.context import ClassContext, chain_bound, chain_down, succ_chain
 from ordclass.errors import OrderUndecidable, OrdinalError
 from ordclass.skeleton import (
     T_set,
-    _greatest,
+    _extremum,
     _m_pairs,
-    _scan_candidates,
     _structural_candidates,
     canonical_point,
     eta_compute,
@@ -34,7 +40,7 @@ class ScanContext(ClassContext):
     def m_keys_in(self, lo, hi):
         return None
 
-    def leaf_terms_in(self, lo, hi, hi_closed=True):
+    def leaf_terms_in(self, lo, hi):
         return None
 
     def m_ranks(self):
@@ -59,6 +65,11 @@ def _agree(indexed, reference):
         assert indexed == reference
     elif reference[1] is not OrderUndecidable:
         assert indexed == reference
+
+
+def _candidates(ctx, k, alpha, t):
+    """The structural eta/ell candidates in (alpha, t], with their m."""
+    return _structural_candidates(ctx, succ_chain(alpha, k), chain_bound(alpha, k), t)
 
 
 def _leaf_terms(ctx):
@@ -128,7 +139,7 @@ def _step(ctx, step):
     lo, hi = _pick(probes, r[3]), _pick(probes, r[4])
     return [
         _outcome(ctx.leaves_between, lo, hi, 1 + r[5] % 3),
-        _outcome(_structural_candidates, ctx, k, alpha, t),
+        _outcome(_candidates, ctx, k, alpha, t),
         _outcome(lambda: eta_compute(ctx, k, alpha, t)),
         _outcome(lambda: l_compute(ctx, k, alpha, t)),
         _outcome(T_set, ctx, k, alpha, t),
@@ -182,7 +193,7 @@ def test_level3_queries_use_the_index():
             for t in (gamma, tm.add(gamma, tm.one())):
                 assert ctx.m_keys_in(tm.Leaf(A), t) is not None
                 assert ctx.leaf_terms_in(tm.Leaf(A), t) is not None
-                assert _structural_candidates(ctx, 3, A, t) == _scan_candidates(ctx, 3, A, t)
+                assert _candidates(ctx, 3, A, t) == _candidates(ref, 3, A, t)
                 for fn in (eta_compute, l_compute):
                     assert fn(ctx, 3, A, t) == fn(ref, 3, A, t)
                 assert T_set(ctx, 3, A, t) == T_set(ref, 3, A, t)
@@ -244,19 +255,20 @@ def test_undecidable_m_keys_drop_their_index():
 def test_index_answers_where_the_scan_cannot():
     # B@1(+1) < D@2 < A@1 are decided, B@1(+1) against A@1 is not; an
     # annotation on B@1(+1) stops the scan of (A, A*3], not the bisection
-    ctx = ClassContext()
-    B = ctx.declare("B", 1)
-    D = ctx.declare("D", 2)
-    A = ctx.declare("A", 1)
-    x = tm.Leaf(tm.mk_succ(B, 1))
+    ctx, ref = ClassContext(), ScanContext()
+    for c in (ctx, ref):
+        B = c.declare("B", 1)
+        D = c.declare("D", 2)
+        A = c.declare("A", 1)
+        x = tm.Leaf(tm.mk_succ(B, 1))
+        c.set_m(x, tm.mul(x, tm.nat(2)))
+        c.set_m(tm.Leaf(D), tm.mul(tm.Leaf(D), tm.nat(2)))
     with pytest.raises(OrderUndecidable):
         tm.compare(x, tm.Leaf(A))
-    ctx.set_m(x, tm.mul(x, tm.nat(2)))
-    ctx.set_m(tm.Leaf(D), tm.mul(tm.Leaf(D), tm.nat(2)))
     t = tm.mul(tm.Leaf(A), tm.nat(3))
     with pytest.raises(OrderUndecidable):
-        _scan_candidates(ctx, 1, A, t)
-    assert _structural_candidates(ctx, 1, A, t) == {t: t}
+        _candidates(ref, 1, A, t)
+    assert _candidates(ctx, 1, A, t) == {t: t}
     assert eta_compute(ctx, 1, A, t) == t
 
 
@@ -293,18 +305,18 @@ def _annotations(draw):
     return sets, queries
 
 
-@settings(max_examples=200, deadline=None)
-@given(_annotations())
-def test_ranked_eta_ell_match_the_term_loop(annotations):
+def _ranked_differential(annotations, register):
     """Random annotations over four roots: the rank table is built, dropped
-    (undecidable values) or bypassed (an unranked m undecidable against the
-    ranked maximum), and eta/ell agree with the reference wherever it
-    returns."""
+    (undecidable values) or bypassed (an unranked m undecidable against a
+    ranked one), and eta/ell agree with the scan reference wherever it
+    returns, and with the old ranked pass over the same candidates wherever
+    that returns."""
     sets, queries = annotations
     ctx, ref = _spaced_context(ClassContext), _spaced_context(ScanContext)
-    for c in (ctx, ref):
-        c.register(tm.mk_succ(c.atom("E"), 1))
-        c.register(tm.mk_succ(c.atom("B"), 1))
+    if register:  # E(+1) against B(+1) is undecidable: drops the leaf index
+        for c in (ctx, ref):
+            c.register(tm.mk_succ(c.atom("E"), 1))
+            c.register(tm.mk_succ(c.atom("B"), 1))
     keys, values = _spaced_terms(ctx)
     for i, j in sets:
         key, value = _pick(keys, i), _pick(values, j)
@@ -312,8 +324,28 @@ def test_ranked_eta_ell_match_the_term_loop(annotations):
     E = ctx.atom("E")
     for k, i in queries:
         t = _pick(keys + [tm.mul(r, tm.nat(2)) for r in keys], i)
-        for fn in (eta_compute, l_compute):
-            _agree(_outcome(lambda: fn(ctx, k, E, t)), _outcome(lambda: fn(ref, k, E, t)))
+        pairs = _outcome(_m_pairs, k, E, t, ctx)
+        for fn, old in ((eta_compute, _eta_of), (l_compute, _ell_of)):
+            got = _outcome(lambda: fn(ctx, k, E, t))
+            _agree(got, _outcome(lambda: fn(ref, k, E, t)))
+            if pairs[0] == "ok" and pairs[1][1] is not None:
+                _agree(got, _outcome(old, pairs[1][1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annotations())
+def test_ranked_eta_ell_match_the_term_loop(annotations):
+    _ranked_differential(annotations, register=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annotations())
+# E*2 -> B*2, w^(E+1) -> D*2 and E*3 -> E(+1)*2, queried on (E, w^(E+1)]:
+# B*2 against E(+1)*2 is undecidable, D*2 lies above both; the old ranked
+# pass raised on it
+@example(([(0, 1), (4, 15), (1, 0)], [(1, 46)]))
+def test_ranked_eta_ell_match_the_term_loop_on_the_indexed_path(annotations):
+    _ranked_differential(annotations, register=False)
 
 
 def _annotate(ctx, pairs):
@@ -388,11 +420,12 @@ def test_undecidable_values_drop_the_rank_table():
     assert ctx._m_ranks is None
 
 
-def test_undecidable_unranked_value_reruns_the_term_loop():
+def test_undecidable_unranked_value_has_no_maximum():
     """E@2 < D@2 < B@1 by rank.  On (E, E(+1)*3] at level 2 the chain
-    point E(+1) has the unranked m E(+1)*2, which no rule orders against
-    the ranked maximum B*2, since B may lie inside (E, E(+1)): the ranked
-    pass raises, the term loop runs, and it raises as the reference does."""
+    point E(+1) has the unranked m E(+1)*2 and t the unranked m E(+1)*3,
+    which no rule orders against the ranked B*2, since B may lie inside
+    (E, E(+1)); no third value orders them, so no maximum is decided and
+    both contexts raise."""
     contexts = []
     for cls in (ClassContext, ScanContext):
         c = cls()
@@ -407,10 +440,62 @@ def test_undecidable_unranked_value_reruns_the_term_loop():
     _, triples = _m_pairs(2, E, t, ctx)
     assert [rank for _, _, rank in triples] == [None, 0, None]
     with pytest.raises(OrderUndecidable):
-        _greatest(triples)
+        _extremum([(m, rank) for _, m, rank in triples], tm.GT)
     for fn in (eta_compute, l_compute):
         got = _outcome(lambda: fn(ctx, 2, E, t))
         assert got == ("raised", OrderUndecidable) == _outcome(lambda: fn(ref, 2, E, t))
+
+
+# E(+1)*2 against B*2 or A*2 has no decided order (B and A may lie inside
+# (E, E(+1))), while E(+1)*2 < D*2 < A*2 and B*2 < D*2 are decided
+_FOUND = {
+    "atoms": [{"name": n, "level": v} for n, v in (("E", 2), ("B", 1), ("D", 2), ("A", 1))],
+    "m_annotations": [
+        ["w^(E@2)*2", "w^(E@2(+1))*2"],
+        ["w^(E@2)*4", "w^(D@2)*2"],
+        ["w^(E@2)*3", "w^(B@1)*2"],
+    ],
+}
+
+
+def test_a_value_above_an_undecidable_pair_is_the_maximum(tmp_path, capsys):
+    """On (E, E*4] the m-values E(+1)*2 and B*2 have no decided order, and
+    sorting the values meets that pair, so there is no rank table; D*2 lies
+    decidably above both, so eta is D*2, first reached at E*4."""
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(_FOUND))
+    for verb, want in (("eta", "D@2*2"), ("ell", "E@2*4")):
+        assert main(["--context", str(path), f"{verb} 1 E@2 w^(E@2)*4"]) == 0
+        assert capsys.readouterr().out == want + "\n"
+    for cls in (ClassContext, ScanContext):
+        ctx = cls.from_json(_FOUND)
+        assert ctx.m_ranks() is None
+        E = ctx.atom("E")
+        t = tm.mul(tm.Leaf(E), tm.nat(4))
+        assert eta_compute(ctx, 1, E, t) == tm.mul(tm.Leaf(ctx.atom("D")), tm.nat(2))
+        assert l_compute(ctx, 1, E, t) == t
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_a_chain_of_decided_comparisons_places_an_undecidable_value(order):
+    """m(E+1) = A*2, m(E*2) = E(+1)*2, m(E*3) = D*2, annotated in any
+    order: E(+1)*2 < D*2 < A*2 are decided, E(+1)*2 against A*2 is not.
+    Eta over (E, E*3] is A*2, first reached at E+1, whichever pairs the
+    rank table's sort compares, and with no rank table at all."""
+    for cls in (ClassContext, ScanContext):
+        ctx = _spaced_context(cls)
+        E, D, A = (ctx.atom(n) for n in "EDA")
+        e = tm.Leaf(E)
+        double = lambda x: tm.mul(tm.Leaf(x), tm.nat(2))  # noqa: E731
+        pairs = [
+            (tm.add(e, tm.one()), double(A)),
+            (tm.mul(e, tm.nat(2)), double(tm.mk_succ(E, 1))),
+            (tm.mul(e, tm.nat(3)), double(D)),
+        ]
+        _annotate(ctx, [pairs[i] for i in order])
+        t = tm.mul(e, tm.nat(3))
+        assert eta_compute(ctx, 1, E, t) == double(A)
+        assert l_compute(ctx, 1, E, t) == tm.add(e, tm.one())
 
 
 # ---------------------------------------------------------------------------
