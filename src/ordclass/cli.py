@@ -25,7 +25,7 @@ from .context import ClassContext, NEG_INFINITY, lambda_locate
 from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_sample, G_set
-from .oracle import ANCHOR_OPS, GRID_CAP, build_grid, leq1_cached
+from .oracle import GRID_CAP, build_grid, leq1_cached
 from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
 
 
@@ -222,7 +222,7 @@ def _cmd_canon(session, i, e, k, rel=None):
 def _cmd_grid(session, name, bound, *seeds):
     if name in session.grids:
         raise OrdinalError(f"grid {name!r} already exists; snapshots are immutable")
-    grid = build_grid(bound, seeds, ops=ANCHOR_OPS, cap=session.grid_cap)
+    grid = build_grid(bound, seeds, cap=session.grid_cap)
     grid.by_text  # render every point now: one too long to print fails here
     session.grids[name] = rel = leq1_cached(grid, session.cache_dir)
     text = f"grid {name}: {len(grid.points)} points, {rel.rounds} rounds"

@@ -3,12 +3,12 @@
 A ClassContext holds the declared class atoms, the partial table of known
 m-values, and every leaf materialized so far (the "skeleton"), which the
 S-set and T-set computations enumerate over.  Interval queries over the
-m-annotated terms and the known leaves bisect sorted indexes of them.
+m-annotated terms and the known leaves bisect sorted views of them, built
+from the facts after each write that changes them (ClassContext._view).
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 
 from . import terms as tm
@@ -40,53 +40,23 @@ class NegInfinity:
 NEG_INFINITY = NegInfinity()
 
 
-class _TermIndex:
-    """Terms in increasing `terms.compare` order, for interval queries.
+def _between(terms, lo, hi, hi_closed):
+    """The sorted terms r with lo < r < hi (r <= hi if hi_closed), increasing.
 
-    The index is sorted on its first query and kept sorted by insertion
-    after that, so a context that is only being set up pays nothing for it.
-    If some pair of its terms has no decidable order, it is dropped for good
-    and answers no query; the caller then tests every term instead.
+    None when there are no terms (a view that could not be sorted), or when
+    lo or hi has no decidable place among them.  A returned answer rests on
+    the order of the terms: r < lo is read off r < r' <= lo for a neighbour
+    r', so it holds even where r and lo are not comparable directly, and a
+    bisection may answer where a scan of the same terms raises.
     """
-
-    __slots__ = ("terms", "dropped")
-
-    def __init__(self):
-        self.terms: list[tm.OrdTerm] | None = None
-        self.dropped = False
-
-    def add(self, t: tm.OrdTerm):
-        """Insert a term that is not in the index yet (once it is built)."""
-        if self.terms is None:
-            return
-        try:
-            bisect.insort(self.terms, t, key=tm.term_key)
-        except OrderUndecidable:
-            self.terms, self.dropped = None, True
-
-    def between(self, source, lo, hi, hi_closed):
-        """The terms r with lo < r < hi (r <= hi if hi_closed), increasing.
-
-        `source` yields every term of the index, and is read only to build
-        it.  None when the index is dropped, or when lo or hi has no
-        decidable place in it.  A returned answer rests on the order of the
-        index: r < lo is read off r < r' <= lo for a neighbour r', so it
-        holds even where r and lo are not comparable directly.
-        """
-        if self.dropped:
-            return None
-        if self.terms is None:
-            try:
-                self.terms = sorted(source, key=tm.term_key)
-            except OrderUndecidable:
-                self.dropped = True
-                return None
-        try:
-            i = tm.bisect_terms(self.terms, lo, right=True)
-            j = tm.bisect_terms(self.terms, hi, right=hi_closed)
-        except OrderUndecidable:
-            return None
-        return self.terms[i:j]
+    if terms is None:
+        return None
+    try:
+        i = tm.bisect_terms(terms, lo, right=True)
+        j = tm.bisect_terms(terms, hi, right=hi_closed)
+    except OrderUndecidable:
+        return None
+    return terms[i:j]
 
 
 class ClassContext:
@@ -95,10 +65,7 @@ class ClassContext:
         self.m_table: dict[tm.OrdTerm, tm.OrdTerm] = {}
         # an insertion-ordered set: registration tests membership in O(1)
         self.known_leaves: dict[tm.EpsLeaf, None] = {}
-        self._m_index = _TermIndex()  # the keys of m_table
-        self._leaf_index = _TermIndex()  # the known leaves, as terms
-        # see m_ranks; None until built, False once dropped
-        self._m_ranks = None
+        self._views = {}  # name -> view of the facts; see _view
 
     # -- declarations -------------------------------------------------------
 
@@ -121,31 +88,48 @@ class ClassContext:
     def register(self, leaf: tm.EpsLeaf):
         if leaf not in self.known_leaves:
             self.known_leaves[leaf] = None
-            self._leaf_index.add(tm.Leaf(leaf))
+            self._views.pop("leaves", None)
 
     def leaves_between(self, lo: tm.OrdTerm, hi: tm.OrdTerm, min_level=1):
         """Known leaves in the open interval (lo, hi), increasing."""
-        inside = self.leaf_terms_in(lo, hi)
+        inside = _between(self._view("leaves"), lo, hi, False)
         if inside is None:
             return self.scan_leaves_between(lo, hi, min_level)
         return tuple(r.leaf for r in inside if tm.leaf_level(r.leaf) >= min_level)
 
     def scan_leaves_between(self, lo: tm.OrdTerm, hi: tm.OrdTerm, min_level=1):
         """leaves_between by testing every known leaf: the answer where the
-        leaf index has none, and the reference the tests hold it to."""
-        out = [
-            e
-            for e in self.known_leaves
-            if tm.leaf_level(e) >= min_level
-            and tm.compare(tm.Leaf(e), lo) is GT
-            and tm.compare(tm.Leaf(e), hi) is LT
-        ]
-        return tm.sort_leaves(out)
+        sorted leaves have none, and the reference the tests hold it to."""
+        inside = (
+            e for e in self.known_leaves if tm.leaf_level(e) >= min_level
+            and tm.compare(tm.Leaf(e), lo) is GT and tm.compare(tm.Leaf(e), hi) is LT
+        )
+        return tm.sort_leaves(inside)
 
-    def leaf_terms_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
-        """Known leaves r (as terms) with lo < r < hi, increasing; None when
-        the leaf index cannot answer."""
-        return self._leaf_index.between(map(tm.Leaf, self.known_leaves), lo, hi, False)
+    def _view(self, name):
+        """"keys" (the m-annotated terms) or "leaves" (the known leaves, as
+        terms) in increasing compare order, or "ranks" (m_ranks), sorted
+        from the facts in insertion order at the first query after the last
+        write that changed them, so that which pairs the sort compares does
+        not depend on when queries ran.  None until the next such write if
+        the sort meets an undecidable pair."""
+        if name not in self._views:
+            self._views[name] = self._build_view(name)
+        return self._views[name]
+
+    def _build_view(self, name):
+        if name == "ranks":  # distinct values, in first-annotation order
+            facts = dict.fromkeys(self.m_table.values())
+        else:
+            facts = self.m_table if name == "keys" else map(tm.Leaf, self.known_leaves)
+        try:
+            terms = sorted(facts, key=tm.term_key)
+        except OrderUndecidable:
+            return None
+        if name != "ranks":
+            return terms
+        rank = {v: i for i, v in enumerate(terms)}
+        return {id(v): rank[v] for v in self.m_table.values()}
 
     # -- m-values ------------------------------------------------------------
 
@@ -155,38 +139,28 @@ class ClassContext:
                 f"m-annotation below its argument: m({term!r}) = {value!r}"
             )
         if term not in self.m_table:
-            self._m_index.add(term)
+            self._views.pop("keys", None)
         self.m_table[term] = value
-        self._m_ranks = None
+        self._views.pop("ranks", None)
 
     def m_ranks(self):
         """{id(value): rank} for the values of the m-table: the ranks number
-        the distinct values in increasing order, so equal values share a
-        rank.
-
+        the distinct values in increasing order, equal values sharing one.
         Keyed by identity, so that a lookup hashes no term: the table keeps
-        its value objects alive, and any other object has no rank.  Built
-        on the first call after a set_m.  None when some pair of values has
-        no decidable order; the table is then dropped until the next set_m,
-        and callers compare the values as terms.
-        """
-        if self._m_ranks is None:
-            # distinct values in first-annotation order, so that which
-            # pairs the sort compares does not depend on hashing
-            distinct = dict.fromkeys(self.m_table.values())
-            try:
-                values = sorted(distinct, key=tm.term_key)
-            except OrderUndecidable:
-                self._m_ranks = False
-                return None
-            rank = {v: i for i, v in enumerate(values)}
-            self._m_ranks = {id(v): rank[v] for v in self.m_table.values()}
-        return self._m_ranks if self._m_ranks is not False else None
+        its value objects alive, and any other object has no rank.  None
+        when the values have no decided order (see _view); callers then
+        compare them as terms."""
+        return self._view("ranks")
 
     def m_keys_in(self, lo: tm.OrdTerm, hi: tm.OrdTerm):
-        """The m-annotated terms r with lo < r <= hi, increasing; None when
-        the index of annotations cannot answer."""
-        return self._m_index.between(self.m_table, lo, hi, hi_closed=True)
+        """The m-annotated terms r with lo < r <= hi: bisected out of the
+        sorted keys, increasing; where they cannot answer, a lazy test of
+        every key in insertion order."""
+        inside = _between(self._view("keys"), lo, hi, True)
+        if inside is None:
+            return (r for r in self.m_table
+                    if tm.compare(r, lo) is GT and tm.compare(r, hi) is not GT)
+        return inside
 
     def m_of(self, term: tm.OrdTerm) -> tm.OrdTerm:
         """Annotated or structurally forced m-value; loud on genuine gaps."""

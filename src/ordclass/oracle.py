@@ -71,8 +71,8 @@ class GridOps(tm.Frozen):
         return True
 
 
-# The closure preset of the CLI's `grid` command, the anchor tests and the
-# report script.
+# The default closure of build_grid: the preset of the CLI's `grid` command,
+# the anchor tests and the report script.
 ANCHOR_OPS = GridOps(tower_height=2, coeff_cap=2, tail_cap=2, max_monomials=2)
 
 
@@ -139,14 +139,13 @@ def _sorted_terms(terms_it):
     return tuple(sorted(set(terms_it), key=tm.term_key))
 
 
-def build_grid(bound, seeds=(), ops: GridOps | None = None, cap: int = GRID_CAP) -> Grid:
+def build_grid(bound, seeds=(), ops: GridOps = ANCHOR_OPS, cap: int = GRID_CAP) -> Grid:
     """Smallest closure of seeds + {0, 1, w} under ops, strictly below bound.
 
     The closure is semi-naive: a round applies the ops only to the points
     the previous round found (the frontier), and adds only the sums with a
     frontier summand, so each ordered pair of points is summed once in all.
     """
-    ops = ops or GridOps()
     points = {tm.ZERO, tm.one(), tm.omega()}
     points.update(seeds)
     points = {p for p in points if tm.lt(p, bound) and ops.admits(p)}

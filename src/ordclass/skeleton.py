@@ -56,15 +56,11 @@ def _inside(r, a, t):
 def _structural_candidates(ctx, chain, bound, t):
     """{r: m(r)} for the candidates r in (alpha, t]: the points of alpha's
     chain below alpha(+^k) (chain = succ_chain(alpha, k), each with the
-    chain bound as its m), the m-annotated terms, and t itself.
-
-    The annotated terms are bisected out of the context's sorted index of
-    them; where it cannot answer, every annotation is tested instead.
+    chain bound as its m), the m-annotated terms (ClassContext.m_keys_in),
+    and t itself.
     """
     a = tm.Leaf(chain[0])
     keys = ctx.m_keys_in(a, t)
-    if keys is None:
-        keys = (r for r in ctx.m_table if _inside(r, a, t))
     out = {r: bound for r in map(tm.Leaf, chain[1:]) if _inside(r, a, t)}
     for r in keys:
         out[r] = ctx.m_table[r]

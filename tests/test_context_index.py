@@ -1,12 +1,14 @@
-"""The context's sorted indexes and its rank table of m-values against the
-linear scans and term comparisons they replace.
+"""The context's sorted views (its m-keys, its known leaves and the rank
+table of its m-values) against the linear scans and term comparisons they
+replace.
 
-`ScanContext` never lets an index or the rank table answer, so every query
-on it runs the scan that tests each m-annotation and known leaf, and
-`eta`/`ell` compare every m-value as a term.  Wherever that reference
-returns, the indexed context must return the same answer.  Wherever the
-ranked pass that eta/ell once ran (`oracle_reference._eta_of`/`_ell_of`)
-answers over the same candidates, the one-pass maximum gives that answer.
+`ScanContext` builds no view, so every query on it runs the scan that tests
+each m-annotation and known leaf, and `eta`/`ell` compare every m-value as
+a term.  Wherever that reference returns, the context with views must
+return the same answer.  Wherever the ranked pass that eta/ell once ran
+(`oracle_reference._eta_of`/`_ell_of`) answers over the same candidates,
+the one-pass maximum gives that answer.  Whether queries ran between the
+writes changes no answer.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from conftest import EPS
 from oracle_reference import _ell_of, _eta_of
 from ordclass import terms as tm
 from ordclass.cli import main
-from ordclass.context import ClassContext, chain_bound, chain_down, succ_chain
+from ordclass.context import ClassContext, _between, chain_bound, chain_down, succ_chain
 from ordclass.errors import OrderUndecidable, OrdinalError
 from ordclass.skeleton import (
     T_set,
@@ -35,15 +37,9 @@ from ordclass.skeleton import (
 
 
 class ScanContext(ClassContext):
-    """A context whose indexes and rank table never answer: the reference."""
+    """A context whose sorted views never answer: the reference."""
 
-    def m_keys_in(self, lo, hi):
-        return None
-
-    def leaf_terms_in(self, lo, hi):
-        return None
-
-    def m_ranks(self):
+    def _build_view(self, name):
         return None
 
 
@@ -191,8 +187,8 @@ def test_level3_queries_use_the_index():
             gamma = canonical_point(ctx, 3, A, k).gamma
             canonical_point(ref, 3, A, k)
             for t in (gamma, tm.add(gamma, tm.one())):
-                assert ctx.m_keys_in(tm.Leaf(A), t) is not None
-                assert ctx.leaf_terms_in(tm.Leaf(A), t) is not None
+                for name, closed in (("keys", True), ("leaves", False)):
+                    assert _between(ctx._view(name), tm.Leaf(A), t, closed) is not None
                 assert _candidates(ctx, 3, A, t) == _candidates(ref, 3, A, t)
                 for fn in (eta_compute, l_compute):
                     assert fn(ctx, 3, A, t) == fn(ref, 3, A, t)
@@ -202,15 +198,22 @@ def test_level3_queries_use_the_index():
 
 
 def test_index_is_built_lazily_then_kept_sorted():
+    """No view is built while the context is set up; a query builds the
+    ones it reads, a write drops the ones it changes, and the next query
+    sorts them again from every fact."""
     ctx = _level3_context(ClassContext)
-    assert ctx._m_index.terms is None and ctx._leaf_index.terms is None
-    A = ctx.atom("A")
-    ctx.m_keys_in(tm.Leaf(A), tm.Leaf(ctx.atom("B")))
-    ctx.leaf_terms_in(tm.Leaf(A), tm.Leaf(ctx.atom("B")))
-    canonical_point(ctx, 3, A, 4)  # inserted into the built indexes
-    for index, terms in ((ctx._m_index, list(ctx.m_table)), (ctx._leaf_index, _leaf_terms(ctx))):
-        assert len(index.terms) == len(terms)
-        assert all(tm.compare(a, b) is tm.LT for a, b in zip(index.terms, index.terms[1:]))
+    assert ctx._views == {}
+    A, B = tm.Leaf(ctx.atom("A")), tm.Leaf(ctx.atom("B"))
+    list(ctx.m_keys_in(A, B))
+    ctx.leaves_between(A, B)
+    assert set(ctx._views) == {"keys", "leaves"}
+    canonical_point(ctx, 3, ctx.atom("A"), 4)  # new m-keys and leaves
+    assert ctx._views == {}
+    list(ctx.m_keys_in(A, B))
+    ctx.leaves_between(A, B)
+    for view, terms in ((ctx._views["keys"], list(ctx.m_table)), (ctx._views["leaves"], _leaf_terms(ctx))):
+        assert len(view) == len(terms)
+        assert all(tm.compare(a, b) is tm.LT for a, b in zip(view, view[1:]))
 
 
 def _undecidable_pair_context():
@@ -230,10 +233,11 @@ def test_undecidable_leaves_drop_the_index(built_first):
     ctx, A, B = _undecidable_pair_context()
     lo, hi = tm.Leaf(EPS[0]), tm.Leaf(tm.mk_succ(EPS[1], 1))
     if built_first:
-        assert ctx.leaf_terms_in(lo, hi) is not None  # built, then extended
+        assert _between(ctx._view("leaves"), lo, hi, False) is not None  # built, then dropped
     ctx.register(tm.mk_succ(A, 1))
-    assert ctx.leaf_terms_in(lo, hi) is None
+    assert "leaves" not in ctx._views
     assert ctx.leaves_between(lo, hi) == (EPS[1],) == ctx.scan_leaves_between(lo, hi)
+    assert ctx._views["leaves"] is None
     # the scan still answers where it can order every leaf against the ends
     t = tm.mul(tm.Leaf(EPS[0]), tm.nat(3))
     assert eta_compute(ctx, 1, EPS[0], t) == t
@@ -245,10 +249,12 @@ def test_undecidable_leaves_drop_the_index(built_first):
 def test_undecidable_m_keys_drop_their_index():
     ctx, A, B = _undecidable_pair_context()
     ctx.set_m(tm.Leaf(B), tm.mul(tm.Leaf(B), tm.nat(2)))
-    assert ctx.m_keys_in(tm.Leaf(EPS[0]), tm.Leaf(EPS[1])) is not None
+    assert isinstance(ctx.m_keys_in(tm.Leaf(EPS[0]), tm.Leaf(EPS[1])), list)  # bisected
+    assert ctx._views["keys"] is not None
     succ = tm.Leaf(tm.mk_succ(A, 1))
     ctx.set_m(succ, tm.mul(succ, tm.nat(2)))
-    assert ctx.m_keys_in(tm.Leaf(EPS[0]), tm.Leaf(EPS[1])) is None
+    assert list(ctx.m_keys_in(tm.Leaf(EPS[0]), tm.Leaf(EPS[1]))) == []  # scanned
+    assert ctx._views["keys"] is None
     assert ctx.m_table[succ] == tm.mul(succ, tm.nat(2))
 
 
@@ -370,7 +376,7 @@ def test_rank_table_is_lazy_equal_valued_and_rebuilt_after_set_m():
     ctx = _spaced_context(ClassContext)
     pairs = _spaced_annotations(ctx)
     _annotate(ctx, pairs)
-    assert ctx._m_ranks is None
+    assert "ranks" not in ctx._views
     ranks = ctx.m_ranks()
     assert [ranks[id(ctx.m_table[key])] for key, _ in pairs] == [0, 1, 2]
     e = tm.Leaf(ctx.atom("E"))
@@ -378,7 +384,7 @@ def test_rank_table_is_lazy_equal_valued_and_rebuilt_after_set_m():
     assert equal == pairs[1][1] and equal is not pairs[1][1]
     assert id(equal) not in ranks
     ctx.set_m(tm.mul(e, tm.nat(5)), equal)
-    assert ctx._m_ranks is None
+    assert "ranks" not in ctx._views
     ranks = ctx.m_ranks()
     assert ranks[id(equal)] == ranks[id(pairs[1][1])] == 1
 
@@ -408,7 +414,7 @@ def test_undecidable_values_drop_the_rank_table():
     for c in (ctx, ref):
         pairs = _spaced_annotations(c)
         _annotate(c, [pairs[0], pairs[2], pairs[1]])
-    assert ctx.m_ranks() is None and ctx._m_ranks is False
+    assert ctx.m_ranks() is None and ctx._views["ranks"] is None
     E = ctx.atom("E")
     e = tm.Leaf(E)
     for t in (tm.add(tm.mul(e, tm.nat(2)), tm.one()), tm.mul(e, tm.nat(3))):
@@ -417,7 +423,7 @@ def test_undecidable_values_drop_the_rank_table():
     assert eta_compute(ctx, 1, E, tm.add(tm.mul(e, tm.nat(2)), tm.one())) == _spaced_annotations(ctx)[0][1]
     # the next set_m lets the table be tried again
     ctx.set_m(tm.mul(e, tm.nat(4)), tm.mul(tm.Leaf(ctx.atom("D")), tm.nat(3)))
-    assert ctx._m_ranks is None
+    assert "ranks" not in ctx._views
 
 
 def test_undecidable_unranked_value_has_no_maximum():
@@ -537,13 +543,61 @@ def test_answers_do_not_depend_on_the_order_of_canon_calls(seed):
 
 @pytest.mark.parametrize("cut", [3, 9, 17])
 def test_a_query_between_canon_calls_changes_no_later_answer(cut):
-    """The query builds the indexes and the rank table; the canon calls
-    after it insert into the indexes and set m-values, which must
-    invalidate the table."""
+    """The query builds the views and the rank table; the canon calls
+    after it add m-keys and leaves and set m-values, which must drop
+    them."""
     shared = _canon_context(_CANON[:cut])
     assert _answers(shared) == _answers(_canon_context(_CANON[:cut]))
-    built = shared._m_ranks
+    built = shared._views.get("ranks")
     for name, i, k in _CANON[cut:]:
         canonical_point(shared, i, shared.atom(name), k)
-    assert built is not None and shared._m_ranks is None
+    assert built is not None and "ranks" not in shared._views
     assert _answers(shared) == _answers(_canon_context(_CANON))
+
+
+@pytest.mark.parametrize("query_first", [False, True])
+def test_an_earlier_query_does_not_let_an_undecidable_pair_pass(query_first):
+    """B@1(+1) < D@2 < A@1 are decided, B@1(+1) against A@1 is not.  With
+    m(x) = x*2 annotated on D, B(+1) and A in that order, sorting the keys
+    compares B(+1) with A, so eta/ell on (A, A*3] fall back to the scan,
+    which raises on that pair, whether or not a query after the first
+    annotation sorted the keys then."""
+    ctx = ClassContext()
+    B, D, A = ctx.declare("B", 1), ctx.declare("D", 2), ctx.declare("A", 1)
+    t = tm.mul(tm.Leaf(A), tm.nat(3))
+    for x in (tm.Leaf(D), tm.Leaf(tm.mk_succ(B, 1)), tm.Leaf(A)):
+        ctx.set_m(x, tm.mul(x, tm.nat(2)))
+        if query_first and x == tm.Leaf(D):
+            assert eta_compute(ctx, 1, A, t) == t
+    for fn in (eta_compute, l_compute):
+        with pytest.raises(OrderUndecidable):
+            fn(ctx, 1, A, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_history())
+# A@1, B@2, C@1: m(B) = B*2, a query on (C, w^(C+1)], then m(A(+1)) =
+# A(+1)*2 and m(C) = C*2.  A(+1) < B < C are decided, A(+1) against C is
+# not; the query's sort of the keys must not let the later ones skip it
+@example(([1, 2, 1], [
+    ("set_m", [6, 6, 0, 0, 0, 0]),
+    ("query", [2, 0, 16, 0, 0, 0]),
+    ("register", [0, 0, 0, 0, 0, 0]),
+    ("set_m", [37, 37, 0, 0, 0, 0]),
+    ("set_m", [14, 14, 0, 0, 0, 0]),
+    ("query", [2, 0, 18, 0, 0, 0]),
+]))
+def test_answers_do_not_depend_on_when_queries_ran(history):
+    """The same writes with and without the queries between them, then the
+    same queries on both contexts: the answers agree."""
+    levels, steps = history
+    queried, quiet = ClassContext(), ClassContext()
+    _declare(queried, levels)
+    _declare(quiet, levels)
+    for step in steps:
+        got = _step(queried, step)
+        if step[0] != "query":
+            assert got == _step(quiet, step)  # the same writes on both
+    for step in steps:
+        if step[0] == "query":
+            assert _step(queried, step) == _step(quiet, step)

@@ -193,6 +193,42 @@ def test_tower3_grid_matches_reference(eps0_grid):
     )
 
 
+# Bounds and up to three seeds for build_grid's default closure
+# (ANCHOR_OPS); some seeds are not principal.
+PRESET_BOUNDS = [
+    "eps(0)", "eps(1)", "eps(2)", "eps(3)", "eps(0)*2", "eps(0)*3", "eps(1)*2", "eps(1)*3",
+    "eps(2)*3", "w^w", "w^(eps(0)+1)", "w^(eps(1)+1)", "eps(1)+eps(0)",
+]
+PRESET_SEEDS = [
+    "eps(0)", "eps(1)", "eps(2)", "eps(0)+1", "w*2", "eps(0)*2+w", "eps(1)+w", "w^(eps(0)+1)",
+    "eps(0)*3",
+]
+
+
+@given(
+    st.sampled_from(PRESET_BOUNDS),
+    st.lists(st.sampled_from(PRESET_SEEDS), max_size=3, unique=True),
+)
+# eps(0)*2 is no grid point, so eps(0)'s row runs to the grid's edge
+@example("eps(0)*2", ["eps(0)", "eps(0)+1"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_preset_grids_are_exact_at_their_epsilons(bound, seeds):
+    """On the default closure every row but an epsilon's is reflexive, an
+    epsilon's m-hat is eps*2 when that is a grid point and the last point
+    otherwise, and the fixpoint takes two rounds."""
+    grid = build_grid(e(bound), [e(s) for s in seeds])
+    assert grid.ops is ANCHOR_OPS
+    rel = leq1_fixpoint(grid)
+    pts, f = grid.points, rel.frontiers
+    for i, p in enumerate(pts):
+        if tm.is_epsilon(p):
+            double = tm.mul(p, tm.nat(2))
+            assert pts[f[i]] == (double if double in grid else pts[-1])
+        else:
+            assert f[i] == i
+    assert len(pts) == 1 or rel.rounds == 2
+
+
 CAPS = st.one_of(st.none(), st.integers(1, 3))
 ops_st = st.builds(
     GridOps,

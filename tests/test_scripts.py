@@ -115,17 +115,26 @@ def test_perfbench_tracer_records_the_named_layers(tmp_path):
     tracer.install()
     try:
         session = cli.Session()
+        gamma = "w^(cp(2,1,cp(3,1,A@3))+1)+cp(2,1,cp(3,1,A@3))+1"  # of canon 3 A@3 1
         for command in (
             "grid g eps(1) eps(0)",
             "eta 1 eps(0) eps(0)*2+1 g",
             "ell 1 eps(0) eps(0)*2+1 g",
             "canon 1 eps(0) 1 g",
             f"export g {tmp_path / 'g.json'}",
+            "declare A 3",
+            "canon 3 A@3 1",
+            f"tset 3 A@3 {gamma}",
+            f"eta 3 A@3 {gamma}",
         ):
             cli.run_command(session, command)
     finally:
         tracer.uninstall()
     spans = tracer.report()["spans"]
-    for name in ("oracle.row_sweep", "oracle.export", "skeleton.eta_compute"):
+    for name in (
+        "oracle.row_sweep", "oracle.export", "skeleton.eta_compute", "context.m_of",
+        "context.ClassContext.set_m", "context.ClassContext.register",
+        "context.ClassContext.leaves_between",
+    ):
         assert spans.get(name, {}).get("calls", 0) > 0, name
     assert cli._VERBS["export"] is cli._cmd_export  # uninstalled
