@@ -11,7 +11,11 @@ is timed with time.perf_counter.  For each verb it prints the number of
 commands and the median and p90 of their times in ms, each the best of the
 R runs.  A first `startup` row gives the median and p90 time to import
 `ordclass.cli` and build a `Session` in R fresh interpreters, after one
-untimed interpreter that writes the bytecode cache.  Unlike perfbench/run.py
+untimed interpreter that writes the bytecode cache.  Two last rows give the
+total time of a run's set-up commands (`ready`: the lines of
+`workloads.ready_lines`, whose sum is the benchmark's ready_s) and of all
+its commands (`session`), the best of the R runs; a total is one value per
+run, so its median and p90 agree.  Unlike perfbench/run.py
 it runs no reference kernel and scales no time, so its numbers compare verbs
 within one run, not machines; the oracle-warm script runs without a cache.
 """
@@ -61,11 +65,12 @@ def time_startup(repeat):
 
 
 def time_script(lines):
-    """{verb: [ms per command]} of one run of the script in a fresh session."""
+    """{line index: ms} of each command of one run of the script in a fresh
+    session."""
     session = Session(grid_cap=1000)  # as perfbench/session.py sets it
     times = {}
     clock = time.perf_counter
-    for line in lines:
+    for i, line in enumerate(lines):
         if line.startswith("@"):  # a harness directive, not a command
             continue
         start = clock()
@@ -73,7 +78,7 @@ def time_script(lines):
             run_command(session, line)
         except OrdinalError as exc:
             raise SystemExit(f"{line}: {exc}") from None
-        times.setdefault(line.split()[0], []).append((clock() - start) * 1e3)
+        times[i] = (clock() - start) * 1e3
     return times
 
 
@@ -112,10 +117,16 @@ def main(argv=None):
     print(f"{'verb':<12}{'count':>7}{'median_ms':>12}{'p90_ms':>12}")
     median, tail = statistics.median(startup), p90(startup)
     print(f"{'startup':<12}{len(startup):>7}{median:>12.4g}{tail:>12.4g}")
-    for verb in runs[0]:
-        median = min(statistics.median(run[verb]) for run in runs)
-        tail = min(p90(run[verb]) for run in runs)
-        print(f"{verb:<12}{len(runs[0][verb]):>7}{median:>12.4g}{tail:>12.4g}")
+    verbs = {}
+    for i in runs[0]:
+        verbs.setdefault(lines[i].split()[0], []).append(i)
+    for verb, indices in verbs.items():
+        median = min(statistics.median([run[i] for i in indices]) for run in runs)
+        tail = min(p90([run[i] for i in indices]) for run in runs)
+        print(f"{verb:<12}{len(indices):>7}{median:>12.4g}{tail:>12.4g}")
+    for name, indices in (("ready", workloads.ready_lines(ns.workload, lines)), ("session", runs[0])):
+        total = min(sum(run[i] for i in indices) for run in runs)
+        print(f"{name:<12}{len(indices):>7}{total:>12.4g}{total:>12.4g}")
     return 0
 
 

@@ -219,16 +219,17 @@ def _decimal(n: int) -> str:
         raise OrdinalError("number too long to print") from None
 
 
+_OMEGA = tm.omega().monomials  # of w, the exponent of a w^w head
+
+
 def _render_monomial(exp: tm.OrdTerm, coeff: int) -> str:
     if isinstance(exp, tm.Zero):
         return _decimal(coeff)
-    if exp == tm.one():
-        head = "w"
-    elif isinstance(exp, tm.Leaf):
+    if isinstance(exp, tm.Leaf):
         head = render_leaf(exp.leaf)
     elif isinstance(exp, tm.NatSum):
-        head = f"w^{_decimal(exp.n)}"
-    elif exp == tm.omega():
+        head = "w" if exp.n == 1 else f"w^{_decimal(exp.n)}"
+    elif exp.monomials == _OMEGA:
         head = "w^w"
     else:
         head = f"w^({render_ord(exp)})"

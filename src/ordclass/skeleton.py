@@ -253,12 +253,14 @@ class CanonicalData(tm.Frozen):
     def __init__(self, x: tm.OrdTerm, gamma: tm.OrdTerm, o_chain: tuple[tm.EpsLeaf, ...]):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "o_chain", o_chain)  # o_1 > ... > o_i = e (empty for i = 1)
+        object.__setattr__(self, "o_chain", o_chain)  # o_1 > ... > o_i = e ((e,) for i = 1)
 
 
-def _symbolic_gamma(e: tm.EpsLeaf, k: int) -> tm.OrdTerm:
-    """Symbolic stand-in for m(w_k(e)): w_k(e) + w_{k-1}(e)."""
-    return tm.add(tm.omega_tower(e, k), tm.omega_tower(e, k - 1))
+def _symbolic_gamma(x: tm.OrdTerm) -> tm.OrdTerm:
+    """Symbolic stand-in for m(x), x = w_k(e) with k >= 1: w_k(e) + w_{k-1}(e).
+    w_{k-1}(e) is x's exponent, and the sum keeps x's monomial, so comparing
+    it with x stops at that exponent's identity."""
+    return tm.add(x, x.monomials[0][0])
 
 
 def canonical_point(source, i, e, k) -> CanonicalData:
@@ -275,11 +277,6 @@ def canonical_point(source, i, e, k) -> CanonicalData:
             raise RegimeMixed("a grid relation only carries level-1 canonical data")
         x = tm.omega_tower(e, k)
         return CanonicalData(x, source.m_hat(x), (e,))
-    if i == 1:
-        x = tm.omega_tower(e, k)
-        gamma = _symbolic_gamma(e, k)
-        source.set_m(x, gamma)
-        return CanonicalData(x, gamma, (e,))
     # o_{i-1} = x_k(i, e), o_{j-1} = x_k(j, o_j); gamma = m(o_1)
     chain = [e]
     cur = e
@@ -287,13 +284,13 @@ def canonical_point(source, i, e, k) -> CanonicalData:
         cur = tm.mk_canonical(j - 1, cur, k)
         source.register(cur)
         chain.append(cur)
-    o1 = chain[-1]
-    gamma = _symbolic_gamma(o1, k)
-    source.set_m(tm.omega_tower(o1, k), gamma)
+    x = tm.omega_tower(chain[-1], k)
+    gamma = _symbolic_gamma(x)
+    source.set_m(x, gamma)
     for leaf in chain[1:]:
         source.set_m(tm.Leaf(leaf), gamma)
-    o_chain = tuple(reversed(chain))
-    return CanonicalData(tm.Leaf(chain[1]), gamma, o_chain)
+    point = x if i == 1 else tm.Leaf(chain[1])
+    return CanonicalData(point, gamma, tuple(reversed(chain)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +322,14 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm):
         cur = lambda_locate(j, tm.Leaf(cur))
         chain.append(cur)
     members = set()
+    steps = {}  # delta -> _o_step(ctx, n, delta), once: every round revisits the members
     frontier = [c for c in chain if _in_open_interval(c, a, upper)]
     for _ in range(O_RECURSION_CAP):
         new = set()
         for delta in frontier:
-            k = tm.leaf_level(delta)
-            if not 1 <= k <= n - 1:
-                continue
-            lam = lambda_locate(k + 1, tm.Leaf(delta))
-            if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
-                raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
-            new.update(f_and_S(ctx, k + 1, lam, delta)[1])
-            new.update(tm.ep_set(ctx.m_of(tm.Leaf(delta))))
-            new.add(lam)
+            if delta not in steps:
+                steps[delta] = _o_step(ctx, n, delta)
+            new.update(steps[delta])
         if new <= members:
             return tm.sort_leaves(members, reverse=True)
         members |= new
@@ -346,6 +338,19 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm):
         f"O-recursion did not stabilize within {O_RECURSION_CAP} rounds",
         trace=tm.sort_leaves(members, reverse=True),
     )
+
+
+def _o_step(ctx, n, delta):
+    """The leaves one O-recursion round adds for delta, of level k:
+    f(k+1, lambda)(delta), ep(m(delta)) and lambda = lambda(k+1, delta);
+    none unless 1 <= k <= n-1."""
+    k = tm.leaf_level(delta)
+    if not 1 <= k <= n - 1:
+        return ()
+    lam = lambda_locate(k + 1, tm.Leaf(delta))
+    if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
+        raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
+    return (*f_and_S(ctx, k + 1, lam, delta)[1], *tm.ep_set(ctx.m_of(tm.Leaf(delta))), lam)
 
 
 def _in_open_interval(e: tm.EpsLeaf, lo: tm.OrdTerm, hi: tm.OrdTerm) -> bool:

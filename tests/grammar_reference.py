@@ -1,13 +1,16 @@
 """The expression parser as it was before the flat descent of grammar.py,
 kept verbatim as the reference the tests hold `grammar.parse_ord` to: the
-same term, or the same exception type, message and position."""
+same term, or the same exception type, message and position.  Below it,
+the printer as it was before `_render_monomial` tested the head's type
+first, kept verbatim as the reference for `grammar.render_ord`: the same
+text."""
 
 from __future__ import annotations
 
 import re
 
 from ordclass import terms as tm
-from ordclass.errors import LevelViolation, ParseError, UndeclaredAtom
+from ordclass.errors import LevelViolation, OrdinalError, ParseError, UndeclaredAtom
 
 # every character that starts no token is a one-character `bad` token
 _TOKEN = re.compile(
@@ -165,3 +168,47 @@ class _Parser:
 def parse_ord(text: str, atoms=None) -> tm.OrdTerm:
     """Parse an ordinal expression; atoms maps name -> ClassAtom."""
     return _Parser(text, atoms).parse()
+
+
+def render_leaf(e: tm.EpsLeaf) -> str:
+    if isinstance(e, tm.ConcreteEps):
+        return f"eps({render_ord(e.index)})"
+    if isinstance(e, tm.ClassAtom):
+        return f"{e.name}@{e.level}"
+    if isinstance(e, tm.Succ):
+        return f"{render_leaf(e.base)}(+{e.k})"
+    return f"cp({e.level + 1},{e.k},{render_leaf(e.base)})"
+
+
+def _decimal(n: int) -> str:
+    """n in decimal; a natural can outgrow the digits str() converts."""
+    try:
+        return str(n)
+    except ValueError:
+        raise OrdinalError("number too long to print") from None
+
+
+def _render_monomial(exp: tm.OrdTerm, coeff: int) -> str:
+    if isinstance(exp, tm.Zero):
+        return _decimal(coeff)
+    if exp == tm.one():
+        head = "w"
+    elif isinstance(exp, tm.Leaf):
+        head = render_leaf(exp.leaf)
+    elif isinstance(exp, tm.NatSum):
+        head = f"w^{_decimal(exp.n)}"
+    elif exp == tm.omega():
+        head = "w^w"
+    else:
+        head = f"w^({render_ord(exp)})"
+    return head if coeff == 1 else f"{head}*{_decimal(coeff)}"
+
+
+def render_ord(t: tm.OrdTerm) -> str:
+    if isinstance(t, tm.Zero):
+        return "0"
+    if isinstance(t, tm.NatSum):
+        return _decimal(t.n)
+    if isinstance(t, tm.Leaf):
+        return render_leaf(t.leaf)
+    return "+".join(_render_monomial(e, c) for e, c in t.monomials)

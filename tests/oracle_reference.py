@@ -12,6 +12,10 @@
   (`_greatest`, `_extreme`, `_eta_of`, `_ell_of`): a ranked pass that is
   rerun as a term loop when it meets an undecidable pair.  Wherever it
   answers, the one-pass maximum of `skeleton` must give the same answer.
+- The T-set as it was before `skeleton.T_set` kept each delta's step of
+  the O-recursion for the later rounds (`reference_T_set`): it reruns
+  every member's step in every round.  `T_set` must give the same leaves,
+  or raise the same exception with the same message.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from __future__ import annotations
 import itertools
 
 from ordclass import terms as tm
-from ordclass.context import chain_bound
-from ordclass.errors import OrderUndecidable
-from ordclass.skeleton import _check_interval
+from ordclass.context import chain_bound, lambda_locate
+from ordclass.errors import IterationCapExceeded, LevelViolation, OrderUndecidable, Undecidable
+from ordclass.skeleton import O_RECURSION_CAP, _check_interval, _in_open_interval, f_and_S
 from ordclass.terms import EQ, GT, LT
 
 
@@ -208,3 +212,51 @@ def _ell_of(triples):
         eta = _extreme((m for _, m, _ in triples), GT)
         at_top = (r for r, m, _ in triples if tm.compare(m, eta) is EQ)
     return _extreme(at_top, LT)
+
+
+def reference_T_set(ctx, n, alpha, t):
+    """T(n, alpha, t) as a strictly decreasing tuple of leaves."""
+    if n < 1:
+        raise LevelViolation("T-set level must be >= 1")
+    upper = tm.Leaf(tm.mk_succ(alpha, n))
+    if tm.compare(t, upper) is not LT:
+        raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{n})")
+    if n == 1:
+        return tm.ep_set(t)
+    a = tm.Leaf(alpha)
+    if not isinstance(t, tm.Leaf):
+        members = (x for e in tm.ep_set(t) for x in reference_T_set(ctx, n, alpha, tm.Leaf(e)))
+        return tm.sort_leaves(members, reverse=True)
+    leaf = t.leaf
+    if tm.compare(t, a) is not GT:
+        return (leaf,)
+    # t is an epsilon inside (alpha, alpha(+^n)): iterate the O-recursion
+    m_t = ctx.m_of(t)
+    chain = []
+    cur = lambda_locate(1, m_t)
+    chain.append(cur)
+    for j in range(2, n + 1):
+        cur = lambda_locate(j, tm.Leaf(cur))
+        chain.append(cur)
+    members = set()
+    frontier = [c for c in chain if _in_open_interval(c, a, upper)]
+    for _ in range(O_RECURSION_CAP):
+        new = set()
+        for delta in frontier:
+            k = tm.leaf_level(delta)
+            if not 1 <= k <= n - 1:
+                continue
+            lam = lambda_locate(k + 1, tm.Leaf(delta))
+            if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
+                raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
+            new.update(f_and_S(ctx, k + 1, lam, delta)[1])
+            new.update(tm.ep_set(ctx.m_of(tm.Leaf(delta))))
+            new.add(lam)
+        if new <= members:
+            return tm.sort_leaves(members, reverse=True)
+        members |= new
+        frontier = [c for c in members if _in_open_interval(c, a, upper)]
+    raise IterationCapExceeded(
+        f"O-recursion did not stabilize within {O_RECURSION_CAP} rounds",
+        trace=tm.sort_leaves(members, reverse=True),
+    )

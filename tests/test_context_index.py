@@ -8,7 +8,9 @@ a term.  Wherever that reference returns, the context with views must
 return the same answer.  Wherever the ranked pass that eta/ell once ran
 (`oracle_reference._eta_of`/`_ell_of`) answers over the same candidates,
 the one-pass maximum gives that answer.  Whether queries ran between the
-writes changes no answer.
+writes changes no answer.  The T-set, which keeps each step of its
+O-recursion for the later rounds, answers as the one that reran every
+step in every round (`oracle_reference.reference_T_set`).
 """
 
 import itertools
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EPS
-from oracle_reference import _ell_of, _eta_of
+from oracle_reference import _ell_of, _eta_of, reference_T_set
 from ordclass import terms as tm
 from ordclass.cli import main
 from ordclass.context import ClassContext, _between, chain_bound, chain_down, succ_chain
@@ -601,3 +603,35 @@ def test_answers_do_not_depend_on_when_queries_ran(history):
     for step in steps:
         if step[0] == "query":
             assert _step(queried, step) == _step(quiet, step)
+
+
+def _t_set_outcome(fn, ctx, n, alpha, t):
+    """The leaves, or the exception's type, message and trace."""
+    try:
+        return fn(ctx, n, alpha, t)
+    except OrdinalError as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_history())
+def test_T_set_matches_the_reference_that_reruns_every_step(history):
+    """On the contexts of random histories, at the queries' points and at
+    every m-value and its successor over every leaf at every level."""
+    levels, steps = history
+    ctx = ClassContext()
+    _declare(ctx, levels)
+    queries = []
+    for step in steps:
+        _step(ctx, step)
+        if step[0] == "query":
+            leaves, r = list(ctx.known_leaves), step[1]
+            alpha = _pick(leaves, r[0])
+            queries.append((1 + r[1] % tm.leaf_level(alpha), alpha, _pick(_probe_terms(ctx), r[2])))
+    for alpha in ctx.known_leaves:
+        for n in range(2, tm.leaf_level(alpha) + 1):
+            for m in dict.fromkeys(ctx.m_table.values()):
+                queries += [(n, alpha, m), (n, alpha, tm.add(m, tm.one()))]
+    for n, alpha, t in queries:
+        got = _t_set_outcome(T_set, ctx, n, alpha, t)
+        assert got == _t_set_outcome(reference_T_set, ctx, n, alpha, t)

@@ -91,6 +91,44 @@ def test_atom_roundtrip_with_context():
         assert parse_ord(render_ord(t), ctx.atoms) == t
 
 
+def _monomial_sum(pairs):
+    """The normal form of the sum of w^e*c over the (e, c) pairs."""
+    out = tm.ZERO
+    for exp, coeff in pairs:
+        out = tm.add(out, tm.mul(tm.omega_pow(exp), tm.nat(coeff)))
+    return out
+
+
+def _printer_heads():
+    """Exponents the printer spells out: 1, n, w, w^w, w^(w*2), w^(w+1), and
+    concrete, atom, (+k) and cp leaves (all of one atom, so every pair of
+    them has a decided order)."""
+    A = ClassContext().declare("A", 3)
+    w = tm.omega()
+    finite = [tm.one(), tm.nat(2), tm.nat(7), tm.nat(10**30)]
+    heads = [w, tm.omega_pow(w), tm.mul(w, tm.nat(2)), tm.add(w, tm.one())]
+    heads += [tm.omega_pow(h) for h in heads[2:]]
+    leaves = [EPS[0], EPS[3], tm.ConcreteEps(w), A, tm.mk_succ(A, 2)]
+    leaves += [tm.mk_succ(tm.mk_succ(A, 2), 1), tm.mk_canonical(1, A, 2), tm.mk_canonical(2, A, 1)]
+    return finite + heads + [tm.Leaf(e) for e in leaves]
+
+
+_COEFF = st.integers(1, 3) | st.integers(2**64, 2**80)
+_PRINT_TERMS = st.recursive(
+    st.sampled_from([tm.ZERO] + _printer_heads()) | _COEFF.map(tm.nat),
+    lambda inner: st.lists(st.tuples(inner, _COEFF), min_size=1, max_size=3).map(_monomial_sum),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_PRINT_TERMS)
+def test_printer_matches_the_reference(t):
+    """The printer that tests a head's type first prints what the one that
+    compared every head with 1 and w printed."""
+    assert render_ord(t) == grammar_reference.render_ord(t)
+
+
 _TOKEN_TEXT = st.text(
     alphabet=st.sampled_from(list("w^*+(),@0123456789eps_xAZ ?#!.-{}\t\n\x0b\x1c\xa0 ٣²é")),
     max_size=30,

@@ -100,11 +100,17 @@ def test_query_costs_prints_every_verb_of_the_workload():
     rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
     assert set(rows) == {
         "startup", "grid", "leq1", "mhat", "eta", "ell", "gset", "astep", "canon", "classdetect",
-        "export",
+        "export", "ready", "session",
     }
+    assert [row.split()[0] for row in lines[-2:]] == ["ready", "session"]
     assert rows["grid"][0] == "1" and rows["classdetect"][0] == "3"
     for count, median, tail in rows.values():
         assert 0 < float(median) <= float(tail)
+    # the ready row is the grid command; the session row counts every command
+    verbs = set(rows) - {"startup", "ready", "session"}
+    assert int(rows["session"][0]) == sum(int(rows[verb][0]) for verb in verbs)
+    assert rows["ready"][0] == "1" and rows["ready"][1] == rows["ready"][2]
+    assert float(rows["grid"][1]) <= float(rows["ready"][1]) <= float(rows["session"][1])
 
 
 def test_perfbench_tracer_records_the_named_layers(tmp_path):

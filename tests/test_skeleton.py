@@ -4,7 +4,7 @@ from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.context import ClassContext, chain_down
 from ordclass.errors import LeafOutsideDomain, LevelViolation, MissingMValue, RegimeMixed
-from ordclass.grammar import parse_ord
+from ordclass.grammar import parse_ord, render_ord
 from ordclass.skeleton import (
     T_set,
     canonical_point,
@@ -117,6 +117,54 @@ def test_canonical_chain_structure(ctx3):
     assert tm.lt(data.x, d2.x)
 
 
+def _two_tower_canonical_point(ctx, i, e, k):
+    """(x, gamma, o_chain) of canonical_point on a context, with gamma built
+    as the sum of two separately built towers: the reference."""
+    chain = [e]
+    cur = e
+    for j in range(i, 1, -1):
+        cur = tm.mk_canonical(j - 1, cur, k)
+        ctx.register(cur)
+        chain.append(cur)
+    o1 = chain[-1]
+    gamma = tm.add(tm.omega_tower(o1, k), tm.omega_tower(o1, k - 1))
+    ctx.set_m(tm.omega_tower(o1, k), gamma)
+    for leaf in chain[1:]:
+        ctx.set_m(tm.Leaf(leaf), gamma)
+    x = tm.omega_tower(e, k) if i == 1 else tm.Leaf(chain[1])
+    return x, gamma, tuple(reversed(chain))
+
+
+def test_canonical_point_matches_the_two_tower_formula():
+    ctx, ref = ClassContext(), ClassContext()
+    for c in (ctx, ref):
+        c.declare("A", 3)
+        c.declare("B", 3)
+    for name in "AB":
+        for i in (1, 2, 3):
+            for k in range(1, 19):
+                data = canonical_point(ctx, i, ctx.atom(name), k)
+                want = _two_tower_canonical_point(ref, i, ref.atom(name), k)
+                assert (data.x, data.gamma, data.o_chain) == want
+    assert [(render_ord(r), render_ord(m)) for r, m in ctx.m_table.items()] == [
+        (render_ord(r), render_ord(m)) for r, m in ref.m_table.items()
+    ]
+    assert list(ctx.known_leaves) == list(ref.known_leaves)
+
+
+def test_gamma_shares_the_head_of_its_tower(ctx3):
+    """gamma = w_k(o_1) + w_{k-1}(o_1) is built from the tower x = w_k(o_1)
+    it annotates, so set_m compares gamma with x by identity."""
+    A = ctx3.atom("A")
+    data = canonical_point(ctx3, 1, A, 4)
+    assert data.gamma.monomials[0][0] is data.x.monomials[0][0]
+    data = canonical_point(ctx3, 3, A, 4)
+    tower = tm.omega_tower(data.o_chain[0], 4)
+    x = next(r for r in ctx3.m_table if r == tower)
+    assert ctx3.m_table[x] is data.gamma
+    assert data.gamma.monomials[0][0] is x.monomials[0][0]
+
+
 def test_T_set_level1_is_ep_set():
     ctx = ClassContext()
     t = e("eps(0)*2+w")
@@ -141,6 +189,25 @@ def test_T_set_is_o_chain(ctx3):
             # T-set contains Ep(t) and is finite and decreasing
             for leaf in tm.ep_set(data.gamma):
                 assert leaf in ts
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_T_set_runs_each_step_of_the_O_recursion_once(monkeypatch, ctx3, k):
+    """The O-recursion's second round revisits the chain's delta, and its
+    step is kept from the first: one f_and_S call per distinct argument."""
+    import ordclass.skeleton as sk
+
+    A = ctx3.atom("A")
+    data = canonical_point(ctx3, 3, A, k)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return f_and_S(*args)
+
+    monkeypatch.setattr(sk, "f_and_S", counted)
+    assert T_set(ctx3, 3, A, data.gamma) == data.o_chain
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_T_monotone_laws(ctx3):
