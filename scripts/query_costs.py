@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-verb command costs of a benchmark workload, in one process.
 
-Usage: python scripts/query_costs.py WORKLOAD [--seed N] [--repeat R]
+Usage: python scripts/query_costs.py WORKLOAD [--seed N] [--repeat R] [--src DIR]
 
 Generates the seeded script of WORKLOAD (oracle-cold, oracle-warm or
 symbolic-l3) with perfbench/workloads.py, which it only imports, and runs it
@@ -18,6 +18,11 @@ its commands (`session`), the best of the R runs; a total is one value per
 run, so its median and p90 agree.  Unlike perfbench/run.py
 it runs no reference kernel and scales no time, so its numbers compare verbs
 within one run, not machines; the oracle-warm script runs without a cache.
+
+--src DIR times the `ordclass` package under DIR (default: this checkout's
+src/) with the same workload script and harness, for example another
+checkout's src/: runs of two checkouts taken in turns compare them.  The
+first line names the package directory that was timed.
 """
 
 import argparse
@@ -30,10 +35,6 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
-from ordclass.cli import Session, run_command  # noqa: E402
-from ordclass.errors import OrdinalError  # noqa: E402
 
 
 def load_workloads():
@@ -50,10 +51,10 @@ STARTUP = (
 )
 
 
-def time_startup(repeat):
-    """The ms to import ordclass.cli and build a Session in each of repeat
-    fresh interpreters, after one untimed interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def time_startup(src, repeat):
+    """The ms to import ordclass.cli from src and build a Session in each of
+    repeat fresh interpreters, after one untimed interpreter."""
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     times = []
     for _ in range(repeat + 1):
@@ -64,10 +65,11 @@ def time_startup(repeat):
     return times[1:]
 
 
-def time_script(lines):
+def time_script(cli, error, lines):
     """{line index: ms} of each command of one run of the script in a fresh
-    session."""
-    session = Session(grid_cap=1000)  # as perfbench/session.py sets it
+    session of cli, the ordclass.cli module timed; error is its OrdinalError."""
+    session = cli.Session(grid_cap=1000)  # as perfbench/session.py sets it
+    run_command = cli.run_command
     times = {}
     clock = time.perf_counter
     for i, line in enumerate(lines):
@@ -76,7 +78,7 @@ def time_script(lines):
         start = clock()
         try:
             run_command(session, line)
-        except OrdinalError as exc:
+        except error as exc:
             raise SystemExit(f"{line}: {exc}") from None
         times[i] = (clock() - start) * 1e3
     return times
@@ -94,25 +96,32 @@ def main(argv=None):
     parser.add_argument("workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=21)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     ns = parser.parse_args(argv)
     if ns.repeat < 1:
         parser.error("--repeat must be at least 1")
+    src = os.path.abspath(ns.src)
+    if not os.path.isfile(os.path.join(src, "ordclass", "cli.py")):
+        parser.error(f"--src {ns.src}: no ordclass/cli.py there")
+    sys.path.insert(0, src)
+    cli = importlib.import_module("ordclass.cli")
+    error = importlib.import_module("ordclass.errors").OrdinalError
 
     lines = workloads.script(ns.workload, ns.seed)
-    startup = time_startup(ns.repeat)
+    startup = time_startup(src, ns.repeat)
     runs = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for _ in range(ns.repeat):
-                runs.append(time_script(lines))
+                runs.append(time_script(cli, error, lines))
         finally:
             os.chdir(cwd)
 
     print(
         f"{ns.workload}, seed {ns.seed}: best of {ns.repeat} in-process runs,"
-        f" Python {sys.version.split()[0]}"
+        f" Python {sys.version.split()[0]}, {os.path.dirname(cli.__file__)}"
     )
     print(f"{'verb':<12}{'count':>7}{'median_ms':>12}{'p90_ms':>12}")
     median, tail = statistics.median(startup), p90(startup)

@@ -138,9 +138,10 @@ class ClassContext:
             raise LevelViolation(
                 f"m-annotation below its argument: m({term!r}) = {value!r}"
             )
-        if term not in self.m_table:
+        size = len(self.m_table)
+        self.m_table[term] = value  # hashes term once: a tower hashes level by level
+        if len(self.m_table) > size:
             self._views.pop("keys", None)
-        self.m_table[term] = value
         self._views.pop("ranks", None)
 
     def m_ranks(self):
@@ -245,25 +246,11 @@ def chain_bound(a: tm.EpsLeaf, k: int) -> tm.OrdTerm:
     return tm.mul(tm.Leaf(succ_chain(a, k)[-1]), tm.nat(2))
 
 
-def _leading_leaf(t: tm.OrdTerm) -> tm.EpsLeaf | None:
-    """The largest epsilon leaf <= t, or None when t < eps_0."""
-    while True:
-        if isinstance(t, tm.Leaf):
-            return t.leaf
-        monos = tm.monomials_of(t)
-        if not monos:
-            return None
-        head = monos[0][0]
-        if isinstance(head, tm.Zero):
-            return None
-        t = head
-
-
 def lambda_locate(j: int, t: tm.OrdTerm):
     """The unique delta in Class(j) with t in [delta, delta(+^j)), or -inf."""
     if j < 1:
         raise LevelViolation("lambda level must be >= 1")
-    leaf = _leading_leaf(t)
+    leaf = tm.leading_leaf(t)
     if leaf is None:
         return NEG_INFINITY
     if tm.leaf_level(leaf) >= j:

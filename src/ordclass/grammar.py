@@ -21,9 +21,10 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[@^*+(),])")
 _BAD = re.compile(r"[^\s\dA-Za-z_@^*+(),]")
 _OPS = frozenset("@^*+(),")
 _END = ""  # the token after the last one
-# Nested sums (parentheses, eps and cp arguments) the parser descends into.
-# Comparison, printing and substitution recurse once or more per level too;
-# at this depth they all stay well inside Python's recursion limit.
+# Nested sums (parentheses, eps and cp arguments) the parser descends into,
+# and the printer prints.  Comparison, printing and substitution recurse
+# once or more per level too; at this depth they all stay well inside
+# Python's recursion limit.
 MAX_NESTING = 150
 
 
@@ -201,16 +202,6 @@ def parse_ord(text: str, atoms=None) -> tm.OrdTerm:
     return _Parser(text, toks, atoms or {}).parse()
 
 
-def render_leaf(e: tm.EpsLeaf) -> str:
-    if isinstance(e, tm.ConcreteEps):
-        return f"eps({render_ord(e.index)})"
-    if isinstance(e, tm.ClassAtom):
-        return f"{e.name}@{e.level}"
-    if isinstance(e, tm.Succ):
-        return f"{render_leaf(e.base)}(+{e.k})"
-    return f"cp({e.level + 1},{e.k},{render_leaf(e.base)})"
-
-
 def _decimal(n: int) -> str:
     """n in decimal; a natural can outgrow the digits str() converts."""
     try:
@@ -219,28 +210,88 @@ def _decimal(n: int) -> str:
         raise OrdinalError("number too long to print") from None
 
 
-_OMEGA = tm.omega().monomials  # of w, the exponent of a w^w head
-
-
-def _render_monomial(exp: tm.OrdTerm, coeff: int) -> str:
-    if isinstance(exp, tm.Zero):
-        return _decimal(coeff)
-    if isinstance(exp, tm.Leaf):
-        head = render_leaf(exp.leaf)
-    elif isinstance(exp, tm.NatSum):
-        head = "w" if exp.n == 1 else f"w^{_decimal(exp.n)}"
-    elif exp.monomials == _OMEGA:
-        head = "w^w"
-    else:
-        head = f"w^({render_ord(exp)})"
-    return head if coeff == 1 else f"{head}*{_decimal(coeff)}"
+def _too_deep():
+    return OrdinalError("term nested too deeply")
 
 
 def render_ord(t: tm.OrdTerm) -> str:
-    if isinstance(t, tm.Zero):
-        return "0"
-    if isinstance(t, tm.NatSum):
-        return _decimal(t.n)
-    if isinstance(t, tm.Leaf):
-        return render_leaf(t.leaf)
-    return "+".join(_render_monomial(e, c) for e, c in t.monomials)
+    """The canonical text of t.  "term nested too deeply" where parse_ord
+    would say so of the text: its sums nest deeper than MAX_NESTING."""
+    return _sum(t, MAX_NESTING)[0]
+
+
+def render_leaf(e: tm.EpsLeaf) -> str:
+    """The canonical text of a leaf, refused where render_ord refuses it:
+    the leaf alone is a sum, so its insides have one level less."""
+    return _leaf(e, MAX_NESTING - 1)[0]
+
+
+_OMEGA = tm.omega().monomials  # of w, the exponent of a w^w head
+_keep_text = tm._cnf_text  # fills a Cnf's text cache (terms.Cnf)
+
+
+def _sum(t, room):
+    """(text, nest) for t printed as a sum with room for `room` nested
+    sums, its own included: nest is the number of nested sums parse_ord
+    enters to read the text, its own included.  A Cnf keeps the pair in its
+    text cache."""
+    if room < 1:
+        raise _too_deep()
+    kind = t.__class__
+    if kind is tm.Cnf:
+        done = t._text
+        if done is None:
+            parts, inner = [], 0
+            for exp, coeff in t.monomials:
+                text, nest = _monomial(exp, coeff, room - 1)
+                parts.append(text)
+                if nest > inner:
+                    inner = nest
+            done = ("+".join(parts), inner + 1)
+            _keep_text(t, done)
+        elif done[1] > room:
+            raise _too_deep()
+        return done
+    if kind is tm.Leaf:
+        text, nest = _leaf(t.leaf, room - 1)
+        return text, nest + 1
+    if kind is tm.NatSum:
+        return _decimal(t.n), 1
+    return "0", 1
+
+
+def _monomial(exp, coeff, room):
+    """(text, nest) for the monomial w^exp*coeff, with room for `room`
+    nested sums inside it."""
+    kind = exp.__class__
+    if kind is tm.Zero:
+        return _decimal(coeff), 0
+    nest = 0
+    if kind is tm.NatSum:
+        head = "w" if exp.n == 1 else f"w^{_decimal(exp.n)}"
+    elif kind is tm.Leaf:
+        head, nest = _leaf(exp.leaf, room)
+    elif exp._lead is None and exp.monomials == _OMEGA:  # w has no leading leaf
+        head = "w^w"
+    else:
+        text, nest = _sum(exp, room)
+        head = f"w^({text})"
+    return (head if coeff == 1 else f"{head}*{_decimal(coeff)}"), nest
+
+
+def _leaf(e, room):
+    """(text, nest) for the leaf e, with room for `room` nested sums inside
+    it: an eps index and a cp base are sums."""
+    kind = e.__class__
+    if kind is tm.ClassAtom:
+        return f"{e.name}@{e.level}", 0
+    if kind is tm.ConcreteEps:
+        text, nest = _sum(e.index, room)
+        return f"eps({text})", nest
+    if kind is tm.Succ:
+        text, nest = _leaf(e.base, room)
+        return f"{text}(+{e.k})", nest
+    if room < 1:
+        raise _too_deep()
+    text, nest = _leaf(e.base, room - 1)
+    return f"cp({e.level + 1},{e.k},{text})", nest + 1

@@ -258,9 +258,11 @@ class CanonicalData(tm.Frozen):
 
 def _symbolic_gamma(x: tm.OrdTerm) -> tm.OrdTerm:
     """Symbolic stand-in for m(x), x = w_k(e) with k >= 1: w_k(e) + w_{k-1}(e).
-    w_{k-1}(e) is x's exponent, and the sum keeps x's monomial, so comparing
-    it with x stops at that exponent's identity."""
-    return tm.add(x, x.monomials[0][0])
+    w_{k-1}(e) is x's exponent, whose own head exponent lies below it, so
+    the sum is x's monomial followed by the exponent's monomials; it keeps
+    x's monomial, so comparing it with x stops at that exponent's identity."""
+    exponent = x.monomials[0][0]
+    return tm.Cnf(x.monomials + exponent.monomials)
 
 
 def canonical_point(source, i, e, k) -> CanonicalData:

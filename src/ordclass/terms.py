@@ -29,7 +29,12 @@ class Frozen:
     __slots__ (or its own __reduce__'s arguments), set once in __init__.
     Values are equal and hash as their field tuples; copies are rebuilt.
     Each leaf and term class spells out its own __eq__ and __hash__, for
-    speed and for the counters of perfbench/tracer.py."""
+    speed and for the counters of perfbench/tracer.py.
+
+    A slot whose name starts with "_" is no field but a cache of something
+    the fields decide (a leaf path, a leading leaf, a printed text).
+    __reduce__ leaves it out, so equality, hashes and copies see the fields
+    only, and a copy fills its own caches again."""
 
     __slots__ = ()
 
@@ -40,7 +45,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -49,6 +54,12 @@ class Frozen:
 
     def __hash__(self):
         return hash(self.__reduce__()[1])
+
+
+def _slot_setters(cls):
+    """The __set__ of each of cls's slots, in order.  The constructors that
+    fill caches call these: each costs about half an object.__setattr__."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +111,12 @@ class ClassAtom(Frozen):
 class Succ(Frozen):
     """base(+^k): least Class(k) element above base; requires level(base) >= k."""
 
-    __slots__ = ("base", "k")
+    __slots__ = ("base", "k", "_path")
 
     def __init__(self, base: EpsLeaf, k: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "k", k)
+        _succ_base(self, base)
+        _succ_k(self, k)
+        _succ_path(self, _path_above(base, (k, 0, 0)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -118,18 +130,22 @@ class Succ(Frozen):
         return f"{self.base!r}(+{self.k})"
 
 
+_succ_base, _succ_k, _succ_path = _slot_setters(Succ)
+
+
 class CanonicalPoint(Frozen):
     """k-th canonical point of level `level` over base, i.e. x_k(level+1, base).
 
     Requires level(base) >= level + 1.
     """
 
-    __slots__ = ("level", "base", "k")
+    __slots__ = ("level", "base", "k", "_path")
 
     def __init__(self, level: int, base: EpsLeaf, k: int):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "k", k)
+        _cp_level(self, level)
+        _cp_base(self, base)
+        _cp_k(self, k)
+        _cp_path(self, _path_above(base, (level, 1, k)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -142,6 +158,8 @@ class CanonicalPoint(Frozen):
     def __repr__(self):
         return f"cp({self.level + 1},{self.k},{self.base!r})"
 
+
+_cp_level, _cp_base, _cp_k, _cp_path = _slot_setters(CanonicalPoint)
 
 EpsLeaf = ConcreteEps | ClassAtom | Succ | CanonicalPoint
 
@@ -187,16 +205,20 @@ def leaf_root(e: EpsLeaf) -> EpsLeaf:
 
 
 def leaf_path(e: EpsLeaf):
-    """Constructor keys from the root outward; see compare for the order."""
-    keys = []
-    while isinstance(e, (Succ, CanonicalPoint)):
-        if isinstance(e, Succ):
-            keys.append((e.k, 0, 0))
-        else:
-            keys.append((e.level, 1, e.k))
-        e = e.base
-    keys.reverse()
-    return e, tuple(keys)
+    """(root, keys): e's root leaf and its constructor keys from the root
+    outward, (k, 0, 0) for a (+^k) and (level, 1, k) for a canonical point;
+    see compare_leaves for their order."""
+    if e.__class__ is Succ or e.__class__ is CanonicalPoint:
+        return e._path
+    return e, ()
+
+
+def _path_above(base: EpsLeaf, key):
+    """The leaf path of a constructor with this key over base."""
+    if base.__class__ is Succ or base.__class__ is CanonicalPoint:
+        root, keys = base._path
+        return root, keys + (key,)
+    return base, (key,)
 
 
 def leaf_base_chain(e: EpsLeaf):
@@ -296,12 +318,20 @@ class NatSum(Frozen):
 
 
 class Cnf(Frozen):
-    """Sum of monomials (exponent, coefficient), exponents strictly decreasing."""
+    """Sum of monomials (exponent, coefficient), exponents strictly decreasing.
 
-    __slots__ = ("monomials",)
+    Its caches: `_lead`, its leading leaf (see leading_leaf), read off the
+    head exponent at construction, and `_text`, filled by
+    grammar.render_ord."""
+
+    __slots__ = ("monomials", "_lead", "_text")
 
     def __init__(self, monomials: tuple[tuple[OrdTerm, int], ...]):
-        object.__setattr__(self, "monomials", monomials)
+        head = monomials[0][0]
+        kind = head.__class__
+        _cnf_monomials(self, monomials)
+        _cnf_lead(self, head.leaf if kind is Leaf else head._lead if kind is Cnf else None)
+        _cnf_text(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -315,6 +345,9 @@ class Cnf(Frozen):
         return "+".join(
             f"w^({e!r})*{_digits(c)}" if c > 1 else f"w^({e!r})" for e, c in self.monomials
         )
+
+
+_cnf_monomials, _cnf_lead, _cnf_text = _slot_setters(Cnf)
 
 
 class Leaf(Frozen):
@@ -381,6 +414,16 @@ def from_monomials(monos) -> OrdTerm:
 
 def is_epsilon(t: OrdTerm) -> bool:
     return isinstance(t, Leaf)
+
+
+def leading_leaf(t: OrdTerm) -> EpsLeaf | None:
+    """The leaf at the bottom of t's head-exponent chain, which is the
+    largest epsilon leaf <= t, or None if that chain ends in a finite
+    exponent (t < eps(0))."""
+    kind = t.__class__
+    if kind is Leaf:
+        return t.leaf
+    return t._lead if kind is Cnf else None
 
 
 def compare(a: OrdTerm, b: OrdTerm) -> Ordering:
@@ -552,7 +595,7 @@ def omega_tower(e: EpsLeaf, k: int) -> OrdTerm:
         raise ValueError("tower height must be >= 0")
     t = add(Leaf(e), one())
     for _ in range(k):
-        t = omega_pow(t)
+        t = Cnf(((t, 1),))
     return t
 
 

@@ -277,6 +277,17 @@ def test_deep_nesting_is_a_domain_error(capsys, argv):
     assert err.strip() == "error: term nested too deeply"
 
 
+def test_canon_prints_only_what_eval_reads_back(capsys):
+    # x = w_k(eps(0)) nests k + 2 sums (the text, k exponents, the eps
+    # index): k = 148 is the deepest the parser reads
+    code, out, err = run(capsys, "--format", "json", "canon", "1", "eps(0)", "148")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    for text in (payload["x"], payload["gamma"]):
+        assert run(capsys, "eval", text) == (0, text + "\n", "")
+    assert run(capsys, "canon", "1", "eps(0)", "149") == (1, "", "error: term nested too deeply\n")
+
+
 def test_cache_dir_reuse(tmp_path, capsys):
     cache = tmp_path / "cache"
     for _ in range(2):

@@ -6,7 +6,7 @@ from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.context import ClassContext
 from ordclass.errors import OrderUndecidable, OrdinalError, ParseError, UndeclaredAtom
-from ordclass.grammar import MAX_NESTING, parse_ord, render_ord
+from ordclass.grammar import MAX_NESTING, parse_ord, render_leaf, render_ord
 
 
 def test_spec_examples():
@@ -211,3 +211,55 @@ def test_limits_are_domain_errors():
         parse_ord(deep)
     shallow = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
     assert parse_ord(shallow) == tm.nat(1)
+
+
+def _tower(base, text, n):
+    """w^(w^(...base...)) with n powers, and its text."""
+    for _ in range(n):
+        base, text = tm.Cnf(((base, 1),)), f"w^({text})"
+    return base, text
+
+
+def _nestings(n):
+    """(term, canonical text) pairs whose texts nest n + 1 sums: an n-level
+    w-tower, eps of an (n - 1)-level one, an n-level chain of cp bases, and
+    a tower over a cp chain, and the atoms their texts name."""
+    tower = _tower(tm.from_monomials(((tm.omega(), 1), (tm.ZERO, 1))), "w^w+1", n)
+    inner, inner_text = _tower(tm.from_monomials(((tm.omega(), 1), (tm.ZERO, 1))), "w^w+1", n - 1)
+    eps = tm.Leaf(tm.ConcreteEps(inner)), f"eps({inner_text})"
+    atom = tm.ClassAtom("A", n + 1, 0)
+    chains = [(atom, f"A@{n + 1}")]
+    for level in range(n, 0, -1):
+        leaf, text = chains[-1]
+        chains.append((tm.mk_canonical(level, leaf, 1), f"cp({level + 1},1,{text})"))
+    cp = tm.Leaf(chains[-1][0]), chains[-1][1]
+    half = n // 2
+    leaf, text = chains[n - half]
+    mixed = _tower(tm.add(tm.Leaf(leaf), tm.one()), f"{text}+1", half)
+    return [tower, eps, cp, mixed], {"A": atom}
+
+
+@pytest.mark.parametrize("n", range(MAX_NESTING - 2, MAX_NESTING + 2))
+def test_the_printer_raises_where_the_parser_does(n):
+    """Every printed term re-parses: a term is printed exactly when its
+    text nests at most MAX_NESTING sums, also when a deep subterm's text
+    was printed before and is reused one level further down."""
+    pairs, atoms = _nestings(n)
+    for term, text in pairs:
+        if n + 1 > MAX_NESTING:
+            with pytest.raises(OrdinalError, match="term nested too deeply"):
+                parse_ord(text, atoms)
+            with pytest.raises(OrdinalError, match="term nested too deeply"):
+                render_ord(term)
+            continue
+        assert render_ord(term) == text and parse_ord(text, atoms) == term
+        deeper = tm.Cnf(((term, 1),)) if isinstance(term, tm.Cnf) else None
+        if deeper is not None and n + 2 > MAX_NESTING:
+            with pytest.raises(OrdinalError, match="term nested too deeply"):
+                render_ord(deeper)
+    leaf = pairs[2][0].leaf
+    if n + 1 > MAX_NESTING:
+        with pytest.raises(OrdinalError, match="term nested too deeply"):
+            render_leaf(leaf)
+    else:
+        assert render_leaf(leaf) == pairs[2][1]

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,26 @@ def test_query_costs_prints_every_verb_of_the_workload():
     assert int(rows["session"][0]) == sum(int(rows[verb][0]) for verb in verbs)
     assert rows["ready"][0] == "1" and rows["ready"][1] == rows["ready"][2]
     assert float(rows["grid"][1]) <= float(rows["ready"][1]) <= float(rows["session"][1])
+
+
+def test_query_costs_times_the_package_under_src(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "ordclass", other / "ordclass",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = [sys.executable, str(SCRIPTS / "query_costs.py"), "symbolic-l3", "--repeat", "1"]
+    proc = subprocess.run(
+        [*script, "--src", str(other)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("symbolic-l3, seed 21: best of 1 in-process runs")
+    assert lines[0].endswith(", " + str(other / "ordclass"))
+    rows = {row.split()[0]: row.split()[1] for row in lines[2:]}
+    assert rows["canon"] == "108" and rows["ready"] == "110" and rows["session"] == "674"
+    proc = subprocess.run(
+        [*script, "--src", str(tmp_path / "none")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2 and "no ordclass/cli.py there" in proc.stderr
 
 
 def test_perfbench_tracer_records_the_named_layers(tmp_path):

@@ -1,10 +1,14 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import terms_reference
 from conftest import EPS, random_term, seeded
 from ordclass import terms as tm
 from ordclass.errors import LevelViolation, OrderUndecidable
-from ordclass.grammar import parse_ord
+from ordclass.grammar import parse_ord, render_ord
 
 e = parse_ord
 
@@ -246,3 +250,112 @@ def test_repr_of_a_natural_too_long_to_print_names_its_size():
     t = tm.add(tm.mul(tm.omega(), tm.nat(big)), tm.nat(3))
     assert repr(t) == f"w^(1)*<{big.bit_length()}-bit number>+w^(0)*3"
     assert repr(tm.Leaf(tm.ConcreteEps(tm.nat(big)))) == f"eps(<{big.bit_length()}-bit number>)"
+
+
+# Leaves for the differential test of compare: A@1 and B@1 share a rank,
+# so they and the leaves over them have no decidable order; Z@2 carries
+# successor points and canonical points above it.
+_A, _B, _Z = tm.ClassAtom("A", 1, 0), tm.ClassAtom("B", 1, 0), tm.ClassAtom("Z", 2, 1)
+_POOL = [
+    EPS[0], EPS[1], _A, _B, _Z, tm.mk_succ(_A, 1), tm.mk_succ(_Z, 2), tm.mk_succ(_Z, 1),
+    tm.mk_canonical(1, _Z, 2), tm.mk_canonical(1, tm.mk_succ(_Z, 2), 1),
+]
+
+
+def _pool_term(seed, picks):
+    """A random term over one or two pool leaves, or None where its own
+    sums meet a pair with no decidable order."""
+    try:
+        return random_term(seeded(seed), depth=3, leaves=[_POOL[i] for i in picks])
+    except OrderUndecidable:
+        return None
+
+
+_picks_st = st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=2, unique=True)
+_compare_st = st.one_of(
+    st.builds(_pool_term, st.integers(0, 10**6), _picks_st).filter(lambda t: t is not None),
+    # towers: a Cnf whose head-exponent chain ends in a leaf k levels down
+    st.builds(lambda i, k: tm.omega_tower(_POOL[i], k), st.integers(0, len(_POOL) - 1),
+              st.integers(0, 4)),
+    st.builds(lambda i: tm.Leaf(_POOL[i]), st.integers(0, len(_POOL) - 1)),
+    st.builds(lambda n, c: tm.mul(tm.omega_pow(tm.nat(n)), tm.nat(c)),  # finite heads
+              st.integers(0, 3), st.integers(1, 3)),
+)
+
+
+def _compare_outcome(compare, a, b):
+    try:
+        return compare(a, b)
+    except OrderUndecidable as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_compare_st, _compare_st)
+def test_compare_matches_the_reference_walk(a, b):
+    """The same Ordering, or the same exception, as the comparison that
+    rebuilds each leaf path from its constructors."""
+    for x, y in ((a, b), (b, a), (a, tm.rebuild(a)), (a, tm.add(a, tm.one()))):
+        assert _compare_outcome(tm.compare, x, y) == _compare_outcome(terms_reference.compare, x, y)
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, tm.Leaf) and isinstance(y, tm.Leaf):
+            expected = _compare_outcome(terms_reference.compare_leaves, x.leaf, y.leaf)
+            assert _compare_outcome(tm.compare_leaves, x.leaf, y.leaf) == expected
+
+
+def test_the_differential_draws_reach_every_kind_of_pair():
+    """The pool has undecidable pairs, which a tower meets at the leaf at
+    the bottom of its head-exponent chain; finite-headed terms lie below
+    every leaf."""
+    tower = tm.omega_tower(_A, 3)
+    assert _compare_outcome(tm.compare, tower, tm.Leaf(_B)) is OrderUndecidable
+    assert tm.compare(tower, tm.Leaf(_A)) is tm.GT and tm.compare(tm.Leaf(_A), tower) is tm.LT
+    finite = tm.mul(tm.omega_pow(tm.nat(3)), tm.nat(2))
+    assert tm.leading_leaf(finite) is None and tm.compare(finite, tm.Leaf(EPS[0])) is tm.LT
+    assert tm.leading_leaf(tower) is _A and tm.leading_leaf(tm.Leaf(_B)) is _B
+
+
+def _cached_values():
+    """Terms and leaves whose caches are filled: leaf paths, leading
+    leaves and printed texts."""
+    atoms = {"A": _A, "Z": _Z}
+    values = [
+        tm.omega_tower(tm.mk_canonical(1, _Z, 2), 3),
+        e("w^(Z@2(+2)+1)*2+w^(cp(2,1,Z@2(+2)))+3", atoms),
+        _POOL[6], _POOL[7], _POOL[8], _POOL[9], _A,
+    ]
+    for v in values:
+        hash(v)
+        if isinstance(v, tm.Cnf):
+            render_ord(v)
+            tm.compare(v, tm.Leaf(_Z))
+        else:
+            tm.compare_leaves(v, _Z)
+    return values
+
+
+_FIELDS = {
+    tm.Cnf: ("monomials",), tm.Succ: ("base", "k"), tm.CanonicalPoint: ("level", "base", "k"),
+    tm.ClassAtom: ("name", "level", "rank"),
+}
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_caches_are_not_fields(how):
+    rebuild = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    }[how]
+    for value in _cached_values():
+        fields = tuple(getattr(value, name) for name in _FIELDS[type(value)])
+        assert value.__reduce__() == (type(value), fields)
+        other = rebuild(value)
+        assert type(other) is type(value) and other == value and hash(other) == hash(value)
+        assert other.__reduce__() == (type(value), tuple(getattr(other, n) for n in _FIELDS[type(value)]))
+        if isinstance(value, tm.Cnf):
+            assert tm.leading_leaf(other) == tm.leading_leaf(value)
+            assert render_ord(other) == render_ord(value)
+            assert tm.compare(other, tm.Leaf(_Z)) is tm.compare(value, tm.Leaf(_Z))
+        else:
+            assert tm.leaf_path(other) == tm.leaf_path(value)
