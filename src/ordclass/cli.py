@@ -209,12 +209,19 @@ def _cmd_lambda(session, j, t):
 
 @_verb("I E K [GRID]")
 def _cmd_canon(session, i, e, k, rel=None):
-    data = canonical_point(rel or session.context, i, e, k)
-    payload = {
-        "x": _render(rel, data.x),
-        "gamma": _render(rel, data.gamma),
-        "o_chain": [render_leaf(o) for o in data.o_chain],
-    }
+    """The one verb that writes the context and then can fail (printing
+    a point nested too deeply): a failed canon takes its writes back."""
+    facts = session.context.facts()
+    try:
+        data = canonical_point(rel or session.context, i, e, k)
+        payload = {
+            "x": _render(rel, data.x),
+            "gamma": _render(rel, data.gamma),
+            "o_chain": [render_leaf(o) for o in data.o_chain],
+        }
+    except BaseException:
+        session.context.restore(facts)
+        raise
     return f"x = {payload['x']}, gamma = {payload['gamma']}", payload
 
 

@@ -10,6 +10,7 @@ from the facts after each write that changes them (ClassContext._view).
 from __future__ import annotations
 
 import json
+import operator
 
 from . import terms as tm
 from .errors import (
@@ -131,6 +132,19 @@ class ClassContext:
         rank = {v: i for i, v in enumerate(terms)}
         return {id(v): rank[v] for v in self.m_table.values()}
 
+    def facts(self):
+        """Copies of the m-table and the known leaves, for restore."""
+        return dict(self.m_table), dict(self.known_leaves)
+
+    def restore(self, facts):
+        """Take back the writes made since facts() returned facts: register
+        only adds a leaf, and set_m adds a key or replaces a value."""
+        m_table, leaves = facts
+        grown = len(m_table) != len(self.m_table) or len(leaves) != len(self.known_leaves)
+        if grown or any(map(operator.is_not, m_table.values(), self.m_table.values())):
+            self.m_table, self.known_leaves = facts
+            self._views.clear()
+
     # -- m-values ------------------------------------------------------------
 
     def set_m(self, term: tm.OrdTerm, value: tm.OrdTerm):
@@ -183,13 +197,14 @@ class ClassContext:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        from .grammar import render_ord
+        from .grammar import render_leaf, render_ord
 
         return {
             "atoms": [
                 {"name": a.name, "level": a.level}
                 for a in sorted(self.atoms.values(), key=lambda a: a.rank)
             ],
+            "known_leaves": [render_leaf(e) for e in self.known_leaves],
             "m_annotations": [
                 [render_ord(k), render_ord(v)] for k, v in self.m_table.items()
             ],
@@ -197,11 +212,20 @@ class ClassContext:
 
     @classmethod
     def from_json(cls, data) -> "ClassContext":
+        """The context of to_json's data.  Its known leaves keep their
+        registration order; data without them has the atoms alone."""
         from .grammar import parse_ord
 
         ctx = cls()
         for a in data.get("atoms", ()):
             ctx.declare(a["name"], int(a["level"]))
+        leaves = {}
+        for text in data.get("known_leaves", ()):
+            leaf = parse_ord(text, ctx.atoms)
+            if not isinstance(leaf, tm.Leaf):
+                raise ParseError(f"known leaf {text!r} is not an epsilon leaf")
+            leaves[leaf.leaf] = None
+        ctx.known_leaves = {**leaves, **ctx.known_leaves}
         for key, value in data.get("m_annotations", ()):
             ctx.set_m(parse_ord(key, ctx.atoms), parse_ord(value, ctx.atoms))
         return ctx

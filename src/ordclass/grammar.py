@@ -28,17 +28,6 @@ _END = ""  # the token after the last one
 MAX_NESTING = 150
 
 
-def _mul(ma, mb):
-    """The monomials of terms.mul on two monomial tuples; a finite right
-    factor scales the head's coefficient without a comparison."""
-    if not ma or not mb:
-        return ()
-    if len(mb) == 1 and isinstance(mb[0][0], tm.Zero):
-        (lead, c), n = ma[0], mb[0][1]
-        return ((lead, c * n),) + ma[1:]
-    return tm.monomials_of(tm.mul(tm.from_monomials(ma), tm.from_monomials(mb)))
-
-
 class _Parser:
     """Descent over the token strings of one text.
 
@@ -117,7 +106,7 @@ class _Parser:
                 for _ in range((i - start) // 2 - 1):
                     t = tm.from_monomials(((t, 1),))
                 monos = ((t, 1),)
-            product = monos if product is None else _mul(product, monos)
+            product = monos if product is None else tm.mul_monomials(product, monos)
             if tok == "*":
                 self.i += 1
                 continue

@@ -136,14 +136,10 @@ def apply_subst(x: tm.OrdTerm, f: SubstMap) -> tm.OrdTerm:
 
 
 def invert_map(f: SubstMap) -> SubstMap:
-    if f.rebase is not None:
-        n, alpha, c = f.rebase
-        return SubstMap(
-            tuple((d, s) for s, d in f.overrides),
-            f.threshold,
-            (n, c, alpha),
-        )
-    return make_map([(d, s) for s, d in f.overrides], f.threshold)
+    """f's inverse: the pairs and the rule (n, alpha, c) -> (n, c, alpha)
+    swapped, validated like any other map."""
+    rule = f.rebase and (f.rebase[0], f.rebase[2], f.rebase[1])
+    return make_map([(d, s) for s, d in f.overrides], f.threshold, rule)
 
 
 def _lower_threshold(f: SubstMap, g: SubstMap):
@@ -157,9 +153,17 @@ def _lower_threshold(f: SubstMap, g: SubstMap):
 
 
 def compose_maps(outer: SubstMap, inner: SubstMap) -> SubstMap:
-    """The map e -> outer(inner(e)); t[compose(f,g)] = t[g][f]."""
+    """The map e -> outer(inner(e)); t[compose(f,g)] = t[g][f].  Transport
+    maps compose only as they chain, g(n, b, c) o g(n, a, b), into the rule
+    (n, a, c)."""
+    rule = None
     if inner.rebase is not None or outer.rebase is not None:
-        return _compose_rebase(outer, inner)
+        n, a, b = inner.rebase or (None, None, None)
+        if outer.rebase is None or outer.rebase[:2] != (n, b):
+            raise CompositionUnsupported(
+                "composition of these transport maps is not representable"
+            )
+        rule = (n, a, outer.rebase[2])
     new_threshold = _lower_threshold(inner, outer)
     pairs = []
     for src, mid in inner.overrides:
@@ -175,55 +179,23 @@ def compose_maps(outer: SubstMap, inner: SubstMap) -> SubstMap:
                 src == s for s, _ in pairs
             ):
                 pairs.append((src, dst))
-    return make_map(pairs, new_threshold)
-
-
-def _compose_rebase(outer, inner):
-    if (
-        inner.rebase is not None
-        and outer.rebase is not None
-        and inner.rebase[0] == outer.rebase[0]
-        and inner.rebase[2] == outer.rebase[1]
-    ):
-        n, alpha, _ = inner.rebase
-        c = outer.rebase[2]
-        return SubstMap(((alpha, c),), _lower_threshold(inner, outer), (n, alpha, c))
-    raise CompositionUnsupported(
-        "composition of these transport maps is not representable"
-    )
+    return make_map(pairs, new_threshold, rule)
 
 
 def compare_maps(f: SubstMap, g: SubstMap) -> MapOrder:
-    """Pointwise comparison on a shared domain."""
-    if f.rebase is not None or g.rebase is not None:
-        if f == g:
-            return MapOrder.EQ
-        if (
-            f.rebase is None
-            or g.rebase is None
-            or f.rebase[:2] != g.rebase[:2]
-            or f.threshold != g.threshold
-        ):
-            raise MapInvalid("maps have different domains")
-    else:
-        if (f.threshold is None) != (g.threshold is None) or (
+    """Pointwise comparison on a shared domain: the same (n, alpha) of the
+    rule, the same identity region and the same explicit leaves."""
+    if (
+        (f.rebase and f.rebase[:2]) != (g.rebase and g.rebase[:2])
+        or (f.threshold is None) != (g.threshold is None)
+        or (
             f.threshold is not None
             and tm.compare_leaves(f.threshold, g.threshold) is not EQ
-        ):
-            raise MapInvalid("maps have different domains")
-        if f.domain_leaves() != g.domain_leaves():
-            raise MapInvalid("maps have different domains")
-    saw_lt = saw_gt = False
-    for src in f.domain_leaves():
-        c = tm.compare_leaves(f.lookup(src), g.lookup(src))
-        if c is LT:
-            saw_lt = True
-        elif c is GT:
-            saw_gt = True
-    if saw_lt and saw_gt:
-        return MapOrder.INCOMPARABLE
-    if saw_lt:
-        return MapOrder.LT
-    if saw_gt:
-        return MapOrder.GT
-    return MapOrder.EQ
+        )
+        or f.domain_leaves() != g.domain_leaves()
+    ):
+        raise MapInvalid("maps have different domains")
+    seen = {tm.compare_leaves(f.lookup(src), g.lookup(src)) for src in f.domain_leaves()}
+    if LT in seen:
+        return MapOrder.INCOMPARABLE if GT in seen else MapOrder.LT
+    return MapOrder.GT if GT in seen else MapOrder.EQ

@@ -499,17 +499,22 @@ def add_monomials(ma, mb):
 
 
 def mul(a: OrdTerm, b: OrdTerm) -> OrdTerm:
-    ma = monomials_of(a)
-    if not ma or isinstance(b, Zero):
-        return ZERO
-    lead_exp, lead_coeff = ma[0]
-    out: OrdTerm = ZERO
-    for e, c in monomials_of(b):
-        if isinstance(e, Zero):
-            # right-multiplication by a finite part scales the head once
-            out = add(out, from_monomials(((lead_exp, lead_coeff * c),) + ma[1:]))
+    return from_monomials(mul_monomials(monomials_of(a), monomials_of(b)))
+
+
+def mul_monomials(ma, mb):
+    """The monomials of a * b from the monomials of a and b: a's head times
+    each monomial of b, summed left to right with add_monomials.  A finite
+    monomial of b scales a's head coefficient with no comparison."""
+    if not ma or not mb:
+        return ()
+    (lead, coeff), rest = ma[0], ma[1:]
+    out = ()
+    for e, c in mb:
+        if e.__class__ is Zero:
+            out = add_monomials(out, ((lead, coeff * c),) + rest)
         else:
-            out = add(out, from_monomials(((add(lead_exp, e), c),)))
+            out = add_monomials(out, ((add(lead, e), c),))
     return out
 
 

@@ -2,9 +2,16 @@
 verbatim as the reference the tests hold `terms.compare` and
 `terms.compare_leaves` to: the same Ordering, or the same exception type.
 It walks both terms' monomials level by level and rebuilds each leaf path
-from its constructors."""
+from its constructors.
+
+Also the product as it was when the parser kept its own (`grammar._mul`,
+beside `terms.mul`), kept verbatim as the reference the tests hold
+`terms.mul` and the parser's products to: an equal term, or the same
+exception type, after the same comparisons."""
 
 from __future__ import annotations
+
+import types
 
 from ordclass.errors import OrderUndecidable
 from ordclass.terms import (
@@ -18,6 +25,10 @@ from ordclass.terms import (
     OrdTerm,
     Ordering,
     Succ,
+    ZERO,
+    Zero,
+    add,
+    from_monomials,
     leaf_level,
     monomials_of,
 )
@@ -90,3 +101,35 @@ def compare(a: OrdTerm, b: OrdTerm) -> Ordering:
     if len(ma) == len(mb):
         return EQ
     return LT if len(ma) < len(mb) else GT
+
+
+def mul(a: OrdTerm, b: OrdTerm) -> OrdTerm:
+    ma = monomials_of(a)
+    if not ma or isinstance(b, Zero):
+        return ZERO
+    lead_exp, lead_coeff = ma[0]
+    out: OrdTerm = ZERO
+    for e, c in monomials_of(b):
+        if isinstance(e, Zero):
+            # right-multiplication by a finite part scales the head once
+            out = add(out, from_monomials(((lead_exp, lead_coeff * c),) + ma[1:]))
+        else:
+            out = add(out, from_monomials(((add(lead_exp, e), c),)))
+    return out
+
+
+# the terms module as grammar._mul read it, with the reference mul above
+tm = types.SimpleNamespace(
+    Zero=Zero, monomials_of=monomials_of, from_monomials=from_monomials, mul=mul
+)
+
+
+def _mul(ma, mb):
+    """The monomials of terms.mul on two monomial tuples; a finite right
+    factor scales the head's coefficient without a comparison."""
+    if not ma or not mb:
+        return ()
+    if len(mb) == 1 and isinstance(mb[0][0], tm.Zero):
+        (lead, c), n = ma[0], mb[0][1]
+        return ((lead, c * n),) + ma[1:]
+    return tm.monomials_of(tm.mul(tm.from_monomials(ma), tm.from_monomials(mb)))

@@ -13,14 +13,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
 from ordclass.errors import MissingMValue, OrdinalError
-from ordclass.grammar import parse_ord, render_ord
+from ordclass.context import ClassContext
+from ordclass.grammar import parse_ord, render_leaf, render_ord
 from ordclass.oracle import Leq1Relation
+from ordclass.skeleton import T_set, eta_compute, l_compute
 
 
 def run(capsys, *argv):
@@ -757,3 +759,108 @@ def test_symbolic_answers_do_not_depend_on_query_history():
     assert first[0] == "A@3(+1)(+1)+1"
     run_command(session, "tset 1 A@3(+1)(+1) A@3(+1)(+1)")
     assert run_command(session, command) == first  # A@3(+1)(+1)*2 today
+
+
+def test_a_failed_command_writes_nothing_to_the_context():
+    """canon 1 eps(0) 149 annotates its point, then fails to print it: the
+    annotation is taken back.  k = 148 prints, and keeps its annotation."""
+    session = Session()
+    for command in ("declare A 3", "canon 2 A@3 2"):
+        run_command(session, command)
+    ctx = session.context
+    before = list(ctx.m_table.items()), list(ctx.known_leaves)
+    answers = _structural_answers(ctx)  # and the sorted views are built
+    with pytest.raises(OrdinalError, match="term nested too deeply"):
+        run_command(session, "canon 1 eps(0) 149")
+    assert (list(ctx.m_table.items()), list(ctx.known_leaves)) == before
+    assert _structural_answers(ctx) == answers
+    ctx.to_json()  # an annotation of the unprintable point would raise here
+    run_command(session, "canon 1 eps(0) 148")
+    assert len(ctx.m_table) == len(before[0]) + 1
+
+
+def _answer(fn, *args):
+    """fn's answer, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except OrdinalError as exc:
+        return type(exc)
+
+
+# each command: ("declare", _, LEVEL, _) or ("canon", a known leaf, I, K),
+# the leaf and I read modulo what the context has
+_build_st = st.lists(
+    st.tuples(st.sampled_from(["declare", "canon", "canon"]), st.integers(0, 99),
+              st.integers(1, 4), st.integers(1, 3)),
+    min_size=6, max_size=14,
+)
+
+
+def _built_session(steps):
+    """A session after declare and canon commands; at most four atoms, and
+    a failed canon is skipped."""
+    session = Session()
+    for kind, r, level, k in steps:
+        ctx = session.context
+        if kind == "declare" or not ctx.atoms:
+            if len(ctx.atoms) < 4:
+                run_command(session, f"declare {'ABCD'[len(ctx.atoms)]} {level}")
+            continue
+        e = list(ctx.known_leaves)[r % len(ctx.known_leaves)]
+        _answer(run_command, session, f"canon {1 + level % tm.leaf_level(e)} {render_leaf(e)} {k}")
+    return session
+
+
+def _structural_answers(ctx):
+    """T, eta and ell at every known leaf alpha, every level n >= 2 up to
+    alpha's, and every m-value t."""
+    return [
+        _answer(fn, ctx, n, alpha, t)
+        for alpha in ctx.known_leaves
+        for n in range(2, tm.leaf_level(alpha) + 1)
+        for t in dict.fromkeys(ctx.m_table.values())
+        for fn in (T_set, eta_compute, l_compute)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_build_st)
+@example([  # the tset at B@2's gamma raises OrderUndecidable on both
+    ("declare", 0, 3, 0), ("declare", 0, 2, 0), ("declare", 0, 4, 0),
+    ("canon", 2, 2, 2), ("canon", 2, 1, 3), ("canon", 0, 2, 3), ("canon", 0, 1, 3),
+    ("canon", 1, 1, 3),
+])
+def test_a_context_file_answers_as_the_session_that_wrote_it(steps):
+    """Contexts built by declare and canon (a declare may follow a canon),
+    written by to_json and read back as --context reads a file: the same
+    facts in the same order, and the same answers or errors."""
+    ctx = _built_session(steps).context
+    back = ClassContext.from_json(json.loads(json.dumps(ctx.to_json())))
+    assert list(back.known_leaves) == list(ctx.known_leaves)
+    assert list(back.m_table.items()) == list(ctx.m_table.items())
+    assert _structural_answers(back) == _structural_answers(ctx)
+
+
+@pytest.mark.parametrize(
+    "leaves",
+    ['5', '"A@2"', '["w+1"]', '["B@2"]', '[["A@2"]]', '[null]', '["A@2(+3)"]', '["eps(0"]'],
+)
+def test_malformed_known_leaves_are_a_usage_error(tmp_path, capsys, leaves):
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(f'{{"atoms": [{{"name": "A", "level": 2}}], "known_leaves": {leaves}}}')
+    code, out, err = run(capsys, "--context", str(ctx), "eval", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_a_context_file_without_known_leaves_has_its_atoms_alone(tmp_path):
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps({
+        "atoms": [{"name": "A", "level": 2}, {"name": "B", "level": 1}],
+        "m_annotations": [["A@2(+1)", "A@2(+1)*2"]],
+    }))
+    ctx = ClassContext.load(path)
+    assert list(ctx.known_leaves) == [ctx.atom("A"), ctx.atom("B")]
+    written = ctx.to_json()
+    assert written["known_leaves"] == ["A@2", "B@1"]
+    assert written["m_annotations"] == [["A@2(+1)", "A@2(+1)*2"]]

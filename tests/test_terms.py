@@ -303,6 +303,50 @@ def test_compare_matches_the_reference_walk(a, b):
             assert _compare_outcome(tm.compare_leaves, x.leaf, y.leaf) == expected
 
 
+def _recorded(fn, *args):
+    """fn's result, or its exception's type, and the pairs terms.compare
+    was called on, nested calls included, in order."""
+    pairs, compare = [], tm.compare
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return compare(a, b)
+
+    tm.compare = recording
+    try:
+        return fn(*args), pairs
+    except OrderUndecidable as exc:
+        return type(exc), pairs
+    finally:
+        tm.compare = compare
+
+
+_ATOMS = {"A": _A, "B": _B, "Z": _Z}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_compare_st, _compare_st, st.integers(1, 4))
+def test_mul_matches_the_reference_product(a, b, n):
+    """w^a*w^b, a*n and a*b, and b*a: terms.mul, and the product of
+    monomials the parser takes, give the reference product (terms.mul, and
+    grammar._mul) after the same comparisons; the parser reads the text to
+    that product."""
+    for x, y in ((tm.omega_pow(a), tm.omega_pow(b)), (a, tm.nat(n)), (a, b), (b, a)):
+        assert _recorded(tm.mul, x, y) == _recorded(terms_reference.mul, x, y)
+        mx, my = tm.monomials_of(x), tm.monomials_of(y)
+        want = _recorded(terms_reference._mul, mx, my)
+        assert _recorded(tm.mul_monomials, mx, my) == want
+    ta, tb = render_ord(a), render_ord(b)
+    for text, x, y in (
+        (f"w^({ta})*w^({tb})", ((a, 1),), ((b, 1),)),
+        (f"({ta})*{n}", tm.monomials_of(a), ((tm.ZERO, n),)),
+        (f"({ta})*({tb})", tm.monomials_of(a), tm.monomials_of(b)),
+    ):
+        want = _compare_outcome(terms_reference._mul, x, y)
+        want = want if want is OrderUndecidable else tm.from_monomials(want)
+        assert _compare_outcome(e, text, _ATOMS) == want
+
+
 def test_the_differential_draws_reach_every_kind_of_pair():
     """The pool has undecidable pairs, which a tower meets at the leaf at
     the bottom of its head-exponent chain; finite-headed terms lie below
