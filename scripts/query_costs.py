@@ -11,7 +11,10 @@ is timed with time.perf_counter.  For each verb it prints the number of
 commands and the median and p90 of their times in ms, each the best of the
 R runs.  A first `startup` row gives the median and p90 time to import
 `ordclass.cli` and build a `Session` in R fresh interpreters, after one
-untimed interpreter that writes the bytecode cache.  Two last rows give the
+untimed interpreter that writes the bytecode cache.  A `queries` row gives
+the median and p90 over the commands that perfbench/run.py counts as
+queries, every one not in `workloads.ready_lines`: the in-process analogue
+of its query_p50_ms and query_p90_ms.  Two last rows give the
 total time of a run's set-up commands (`ready`: the lines of
 `workloads.ready_lines`, whose sum is the benchmark's ready_s) and of all
 its commands (`session`), the best of the R runs; a total is one value per
@@ -129,11 +132,13 @@ def main(argv=None):
     verbs = {}
     for i in runs[0]:
         verbs.setdefault(lines[i].split()[0], []).append(i)
-    for verb, indices in verbs.items():
+    ready = workloads.ready_lines(ns.workload, lines)
+    queries = sorted(set(runs[0]) - set(ready))
+    for verb, indices in [*verbs.items(), ("queries", queries)]:
         median = min(statistics.median([run[i] for i in indices]) for run in runs)
         tail = min(p90([run[i] for i in indices]) for run in runs)
         print(f"{verb:<12}{len(indices):>7}{median:>12.4g}{tail:>12.4g}")
-    for name, indices in (("ready", workloads.ready_lines(ns.workload, lines)), ("session", runs[0])):
+    for name, indices in (("ready", ready), ("session", runs[0])):
         total = min(sum(run[i] for i in indices) for run in runs)
         print(f"{name:<12}{len(indices):>7}{total:>12.4g}{total:>12.4g}")
     return 0

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import re
-import shlex
 import sys
 
 from . import terms as tm
@@ -39,7 +38,9 @@ class Session:
 
 # verb -> handler, and verb -> the names of its arguments, in order: [X] is
 # optional and [X...] is any number of them; _ARITY holds each signature read
-# as (names, the number required, whether the last repeats)
+# as its reader plan: (names, the number required, the reader of the rest
+# if the last repeats (else None), the integer positions, and the
+# (position, reader) pairs of the other named arguments)
 _VERBS, _SIGNATURES, _ARITY = {}, {}, {}
 
 
@@ -50,7 +51,11 @@ def _verb(signature):
         _VERBS[verb], _SIGNATURES[verb] = handler, signature
         names = tuple(w.strip("[.]") for w in signature.split())
         required = len(names) - signature.count("[")
-        _ARITY[verb] = names, required, signature.endswith("...]")
+        readers = list(enumerate(_READERS[name] for name in names))
+        ints = tuple(i for i, reader in readers if reader is int)
+        others = tuple((i, reader) for i, reader in readers if reader is not int)
+        rest = readers[-1][1] if signature.endswith("...]") else None
+        _ARITY[verb] = names, required, rest, ints, others
         return handler
     return register
 
@@ -102,7 +107,9 @@ def _render(rel, t):
 
 
 # How each argument name is read into the value its handler takes: an
-# integer by int(text), any other by reader(session, text).
+# integer by int(text), after a check that text is an optional "-" and the
+# digits the grammar reads as a number (str.isdecimal), any other by
+# reader(session, text).
 _READERS = {
     **dict.fromkeys(("LEVEL", "N", "K", "J", "I"), int),
     **dict.fromkeys(("ALPHA", "E", "C"), _leaf),
@@ -113,23 +120,27 @@ _READERS = {
 }
 
 
-# A line without quotes, escapes or comments, whose only whitespace is what
-# shlex splits on, splits the same under str.split, at a fraction of the cost.
-_SHELL_SYNTAX = re.compile(r"""['"\\#]|[^\S \t\r\n]""")
+# A line of printable ASCII without quotes, escapes or comments, whose only
+# other characters are tab, CR and LF, splits the same under str.split as
+# under shlex, at a fraction of the cost; the guard is one ASCII class, as a
+# Unicode category tested at every character costs more than the split.
+_SHELL_SYNTAX = re.compile(r"[^\t\n\r\x20\x21\x24-\x26\x28-\x5b\x5d-\x7e]")
 
 
 def _split(command):
     if _SHELL_SYNTAX.search(command) is None:
         return command.split()
+    import shlex  # only a line with quotes, escapes, comments or non-ASCII
+
     return shlex.split(command, comments=True)
 
 
 def run_command(session: Session, command: str):
     """Execute one command; returns (text, payload) with payload JSON-able.
 
-    The arguments are read by their names in _SIGNATURES.  A wrong count,
-    then a non-integer where an integer is due, is a usage error (a
-    ParseError) raised before any other argument is read.
+    The arguments are read by their names in _SIGNATURES, by the plan in
+    _ARITY.  A wrong count, then a non-integer where an integer is due, is a
+    usage error (a ParseError) raised before any other argument is read.
     """
     try:
         words = _split(command)
@@ -141,24 +152,28 @@ def run_command(session: Session, command: str):
     handler = _VERBS.get(verb)
     if handler is None:
         raise OrdinalError(f"unknown verb {verb!r}")
-    names, required, repeats = _ARITY[verb]
-    if len(args) < required or (len(args) > len(names) and not repeats):
+    names, required, rest, ints, others = _ARITY[verb]
+    count = len(args)
+    if count < required or (count > len(names) and rest is None):
         raise ParseError(f"usage: {verb} {_SIGNATURES[verb]}")
-    names += names[-1:] * (len(args) - len(names))  # [X...] reads the rest
-    readers = [_READERS[name] for name in names]
-    values = list(args)
-    for i, arg in enumerate(args):
-        if readers[i] is int:
+    for i in ints:
+        if i < count:
+            arg = args[i]
             try:
-                values[i] = int(arg)
-            except ValueError:
+                if not arg.removeprefix("-").isdecimal():
+                    raise ValueError
+                args[i] = int(arg)
+            except ValueError:  # not digits, or more than int() converts
                 raise ParseError(
                     f"{verb}: {names[i]} must be an integer, not {arg!r}"
                 ) from None
-    for i, arg in enumerate(args):
-        if readers[i] is not int:
-            values[i] = readers[i](session, arg)
-    return handler(session, *values)
+    for i, reader in others:
+        if i < count:
+            args[i] = reader(session, args[i])
+    if rest is not None:  # [X...] reads the rest
+        for i in range(len(names), count):
+            args[i] = rest(session, args[i])
+    return handler(session, *args)
 
 
 @_verb("NAME LEVEL")

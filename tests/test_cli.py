@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -15,10 +16,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cli_reference
 from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
-from ordclass.errors import MissingMValue, OrdinalError
+from ordclass.errors import MissingMValue, OrdinalError, ParseError
 from ordclass.context import ClassContext
 from ordclass.grammar import parse_ord, render_leaf, render_ord
 from ordclass.oracle import Leq1Relation
@@ -34,11 +36,12 @@ def run(capsys, *argv):
 def test_starting_the_cli_loads_no_dataclasses_machinery():
     # `dataclasses` imports inspect, ast, dis and tokenize, and each of its
     # decorators compiles generated source at import: together they would be
-    # most of the time to import the CLI
+    # most of the time to import the CLI; `shlex` is imported by the first
+    # line with quotes, escapes, comments or non-ASCII text
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import ordclass.cli as cli; cli.Session(); "
-        "mods = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize'); "
+        "mods = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'shlex'); "
         "print(*(m for m in mods if m in sys.modules))"
     )
     proc = subprocess.run(
@@ -727,12 +730,14 @@ _KINDS = {
 
 
 @st.composite
-def _commands(draw):
-    verb = draw(st.sampled_from(sorted(set(_SIGNATURES) - {"grid", "export"})))
+def _commands(draw, kinds=_KINDS, verbs=tuple(sorted(set(_SIGNATURES) - {"grid", "export"}))):
+    verb = draw(st.sampled_from(verbs))
     words = [verb]
     for name in _SIGNATURES[verb].split():
-        if not name.startswith("[") or draw(st.booleans()):
-            words.append(draw(_KINDS[name.strip("[.]")]))
+        if name.endswith("...]"):
+            words += draw(st.lists(kinds[name.strip("[.]")], max_size=3))
+        elif not name.startswith("[") or draw(st.booleans()):
+            words.append(draw(kinds[name.strip("[.]")]))
     return " ".join(words)
 
 
@@ -749,6 +754,114 @@ def test_random_commands_return_or_raise_domain_errors(command):
         run_command(session, command)
     except OrdinalError:
         pass
+
+
+# Integer spellings that int() reads and the grammar's number does not: an
+# underscore, a leading +, and whitespace around the digits (a quoted word,
+# or one with whitespace that shlex does not split on)
+_INT_ONLY = ["1_0", "+2", "'1 '", "\xa02", "\x0c3"]
+_DISPATCH_KINDS = {
+    **_KINDS,
+    **dict.fromkeys(
+        ["LEVEL", "N", "K", "J", "I"],
+        st.sampled_from(["-1", "0", "1", "2", "x", "1.5", "-", "--1", "-0", "007", "\u0663", "9" * 5000]
+                        + _INT_ONLY),
+    ),
+    "NAME": st.sampled_from(["A", "C", "g", "h", "'h i'"]),
+}
+
+
+@st.composite
+def _miscounted(draw):
+    """A command with its last word dropped, or one word too many."""
+    words = draw(_commands(_DISPATCH_KINDS)).split(" ")
+    return " ".join(words[:-1] if draw(st.booleans()) else [*words, "1"])
+
+
+def _dispatched(run, command):
+    """run's (text, payload) for command in a fresh session, or the type
+    and message of its error, and what the session holds afterwards."""
+    session = Session(grid_cap=60)
+    run_command(session, "declare A 2")
+    run_command(session, "declare B 1")
+    session.grids["g"] = _GRID_G.grids["g"]
+    try:
+        answer = run(session, command)
+    except (OrdinalError, RecursionError) as exc:
+        answer = type(exc), str(exc)
+    return answer, session.context.to_json(), sorted(session.grids)
+
+
+def _int_only(word):
+    try:
+        int(word)
+    except ValueError:
+        return False
+    return not word.removeprefix("-").isdecimal()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    _commands()
+    | _commands(_DISPATCH_KINDS)
+    | _miscounted()
+    | _commands(_DISPATCH_KINDS, verbs=("grid",))
+)
+def test_commands_are_dispatched_as_the_reference_does(command):
+    """The same answer, error and session state as the previous dispatch
+    (tests/cli_reference.py), except that an integer spelled as only int()
+    reads it is a usage error."""
+    got = _dispatched(run_command, command)
+    want = _dispatched(cli_reference.run_command, command)
+    if got != want:
+        kind, message = got[0]
+        assert kind is ParseError
+        word = re.fullmatch(r"[a-z0-9]+: [A-Z]+ must be an integer, not (.*)", message, re.S)[1]
+        assert _int_only(ast.literal_eval(word))
+
+
+@pytest.mark.parametrize(
+    "command, answer",
+    [
+        ("declare C 1_0", "declared C@10"),
+        ("declare C +2", "declared C@2"),
+        ("declare C '1 '", "declared C@1"),
+        ("declare C \xa02", "declared C@2"),
+        ("declare C \x0c3", "declared C@3"),
+        ("gmap +1 eps(0) eps(1)", '{"overrides": [["eps(0)", "eps(1)"]], "rule": "identity-below", "threshold": "eps(0)"}'),
+    ],
+)
+def test_an_integer_is_what_the_grammar_reads_as_a_number(tmp_path, capsys, command, answer):
+    """The previous dispatch read any spelling int() takes; an integer
+    argument is now an optional - and decimal digits, as a number inside an
+    expression is."""
+    assert cli_reference.run_command(Session(), command)[0] == answer
+    verb, *args = shlex.split(command)
+    name, word = ("LEVEL", args[1]) if verb == "declare" else ("N", args[0])
+    code, out, err = run(capsys, "--script", _script(tmp_path, command + "\n"))
+    assert code == 2 and out == ""
+    assert err == f"parse error: {verb}: {name} must be an integer, not {word!r}\n"
+
+
+def test_a_negative_integer_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "declare", "C", "-1")
+    assert code == 1 and err.strip() == "error: atom level must be >= 1, got -1"
+    assert run(capsys, "declare", "C", "\u0663")[:2] == (0, "declared C@3\n")
+
+
+def test_every_character_splits_as_under_shlex():
+    """Each character below U+0100, each whitespace character and each of
+    the shell's quote, escape and comment characters, inside a line."""
+    chars = [c for c in map(chr, range(sys.maxunicode + 1)) if c < "\u0100" or c.isspace()]
+    for c in chars:
+        line = "a" + c + "b c"
+        try:
+            want = shlex.split(line, comments=True)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _split(line)
+            continue
+        assert _split(line) == want, repr(c)
 
 
 def test_symbolic_answers_do_not_depend_on_query_history():

@@ -101,15 +101,19 @@ def test_query_costs_prints_every_verb_of_the_workload():
     rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
     assert set(rows) == {
         "startup", "grid", "leq1", "mhat", "eta", "ell", "gset", "astep", "canon", "classdetect",
-        "export", "ready", "session",
+        "export", "queries", "ready", "session",
     }
-    assert [row.split()[0] for row in lines[-2:]] == ["ready", "session"]
+    assert [row.split()[0] for row in lines[-3:]] == ["queries", "ready", "session"]
     assert rows["grid"][0] == "1" and rows["classdetect"][0] == "3"
     for count, median, tail in rows.values():
         assert 0 < float(median) <= float(tail)
-    # the ready row is the grid command; the session row counts every command
-    verbs = set(rows) - {"startup", "ready", "session"}
+    # the ready row is the grid command; the session row counts every command,
+    # and the queries row every one but the ready ones, as perfbench/run.py does
+    verbs = set(rows) - {"startup", "queries", "ready", "session"}
     assert int(rows["session"][0]) == sum(int(rows[verb][0]) for verb in verbs)
+    assert int(rows["queries"][0]) == int(rows["session"][0]) - 1
+    medians = [float(rows[verb][1]) for verb in verbs - {"grid"}]
+    assert min(medians) <= float(rows["queries"][1]) <= max(medians)
     assert rows["ready"][0] == "1" and rows["ready"][1] == rows["ready"][2]
     assert float(rows["grid"][1]) <= float(rows["ready"][1]) <= float(rows["session"][1])
 
@@ -128,6 +132,7 @@ def test_query_costs_times_the_package_under_src(tmp_path):
     assert lines[0].endswith(", " + str(other / "ordclass"))
     rows = {row.split()[0]: row.split()[1] for row in lines[2:]}
     assert rows["canon"] == "108" and rows["ready"] == "110" and rows["session"] == "674"
+    assert rows["queries"] == "564"
     proc = subprocess.run(
         [*script, "--src", str(tmp_path / "none")], capture_output=True, text=True, timeout=60
     )
