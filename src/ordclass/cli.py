@@ -1,10 +1,10 @@
 """Command-line front end.
 
-One command per invocation, or a batch script with one command per line
-(# starts a comment).  A command is a verb and its arguments, which
-`ordclass --help` lists from _SIGNATURES.  Arguments are whitespace-
-separated, so ordinal expressions contain no spaces (or are quoted in script
-files); each is read by its name in _SIGNATURES, the integers first.
+One command per invocation, or a batch script with one command per line.
+A command is a verb and its arguments, which `ordclass --help` lists from
+_SIGNATURES.  On the command line each word is one argument; a script line
+is split like a shell line (quotes, escapes, # comments).  Each argument is
+read by its name in _SIGNATURES, the integers first.
 
 Exit codes: 0 success, 1 domain error (or a term nested too deeply to
 recurse over, or a number too long to print), 2 parse or usage error (or a
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -99,13 +98,6 @@ def _epsilons(rel):
     return [rel.grid.points[i].leaf for i in rel.grid.epsilons]
 
 
-def _render(rel, t):
-    """t's text: read off the grid's printed points if t is one of them
-    (rel may be None), else printed."""
-    i = None if rel is None else rel.grid.rank_of(t)
-    return render_ord(t) if i is None else rel.grid.rendered[i]
-
-
 # How each argument name is read into the value its handler takes: an
 # integer by int(text), after a check that text is an optional "-" and the
 # digits the grammar reads as a number (str.isdecimal), any other by
@@ -135,17 +127,22 @@ def _split(command):
     return shlex.split(command, comments=True)
 
 
-def run_command(session: Session, command: str):
-    """Execute one command; returns (text, payload) with payload JSON-able.
+def run_command(session: Session, command: str | list[str]):
+    """Execute one command, a script line (split by _split) or the words of
+    one command as they are; returns (text, payload) with payload JSON-able,
+    ("", None) for no words (a blank or comment line).
 
     The arguments are read by their names in _SIGNATURES, by the plan in
     _ARITY.  A wrong count, then a non-integer where an integer is due, is a
     usage error (a ParseError) raised before any other argument is read.
     """
-    try:
-        words = _split(command)
-    except ValueError as exc:  # an unclosed quote or a trailing escape
-        raise ParseError(f"{exc} in {command!r}") from None
+    if isinstance(command, str):
+        try:
+            words = _split(command)
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise ParseError(f"{exc} in {command!r}") from None
+    else:
+        words = command
     if not words:
         return "", None
     verb, args = words[0], words[1:]
@@ -203,13 +200,13 @@ def _cmd_gmap(session, n, alpha, c):
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_eta(session, k, alpha, t, rel=None):
-    text = _render(rel, eta_compute(rel or session.context, k, alpha, t))
+    text = render_ord(eta_compute(rel or session.context, k, alpha, t))
     return text, {"value": text}
 
 
 @_verb("K ALPHA T [GRID]")
 def _cmd_ell(session, k, alpha, t, rel=None):
-    text = _render(rel, l_compute(rel or session.context, k, alpha, t))
+    text = render_ord(l_compute(rel or session.context, k, alpha, t))
     return text, {"value": text}
 
 
@@ -230,8 +227,8 @@ def _cmd_canon(session, i, e, k, rel=None):
     try:
         data = canonical_point(rel or session.context, i, e, k)
         payload = {
-            "x": _render(rel, data.x),
-            "gamma": _render(rel, data.gamma),
+            "x": render_ord(data.x),
+            "gamma": render_ord(data.gamma),
             "o_chain": [render_leaf(o) for o in data.o_chain],
         }
     except BaseException:
@@ -271,7 +268,7 @@ def _cmd_mhat(session, rel, t):
 def _cmd_classdetect(session, rel, j):
     hits = rel.class_detect(j)
     payload = [
-        {"point": _render(rel, p), "witness": [_render(rel, w) for w in chain]}
+        {"point": render_ord(p), "witness": [render_ord(w) for w in chain]}
         for p, chain in hits
     ]
     text = "{" + ", ".join(h["point"] for h in payload) + "}"
@@ -321,9 +318,7 @@ def main(argv=None) -> int:
     parser.add_argument("--context", help="context JSON file to load")
     parser.add_argument("--script", help="batch script, one command per line")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--cache-dir", default=os.environ.get("ORDCLASS_CACHE_DIR")
-    )
+    parser.add_argument("--cache-dir")
     parser.add_argument("--grid-cap", type=int, default=GRID_CAP)
     parser.add_argument("command", nargs="*", help="a single command")
     ns = parser.parse_args(argv)
@@ -339,13 +334,11 @@ def main(argv=None) -> int:
             with open(ns.script) as fh:
                 commands.extend(line.strip() for line in fh)
         if ns.command:
-            commands.append(" ".join(ns.command))
+            commands.append(ns.command)  # its words, not a line to split
         if not commands:
             parser.print_usage()
             return 0
         for command in commands:
-            if not command or command.startswith("#"):
-                continue
             text, payload = run_command(session, command)
             if ns.format == "json" and payload is not None:
                 print(json.dumps(payload, sort_keys=True))

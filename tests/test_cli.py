@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -307,6 +306,16 @@ def test_cache_dir_reuse(tmp_path, capsys):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_no_environment_variable_names_a_cache_dir(tmp_path, capsys, monkeypatch):
+    """--cache-dir is the one way to name the cache directory."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("ORDCLASS_CACHE_DIR", str(cache))
+    code, out, err = run(capsys, "--script", _script(tmp_path, "grid g eps(1) eps(0)\n"))
+    assert (code, out, err) == (0, "grid g: 51 points, 2 rounds\n", "")
+    assert list(cache.iterdir()) == []
+
+
 def _script(tmp_path, body):
     p = tmp_path / "cached.txt"
     p.write_text(body)
@@ -417,10 +426,49 @@ def test_readme_verb_table_matches_the_signatures():
     assert table == _SIGNATURES
 
 
-def test_unclosed_quote_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "eval", '"w')
+def test_unclosed_quote_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "--script", _script(tmp_path, 'eval "w\n'))
     assert code == 2 and out == ""
     assert err.strip() == """parse error: No closing quotation in 'eval "w'"""
+    # from the command line the quote is part of the word, which the grammar refuses
+    code, out, err = run(capsys, "eval", '"w')
+    assert code == 2 and out == ""
+    assert err.strip() == """parse error: unexpected character '"' (at position 0)"""
+
+
+def test_readme_example_session_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    """Each `$ ordclass ...` line of the README's example session prints the
+    lines under it; a `$ cat FILE` line shows a file the session reads."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Example session:\n\n```\n(.*?)^```", readme, re.M | re.S)[1]
+    steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)
+    assert [argv.split()[0] for argv, _ in steps].count("ordclass") >= 3
+    monkeypatch.chdir(tmp_path)
+    for command, shown in steps:
+        program, *argv = shlex.split(command)
+        if program == "cat":
+            (tmp_path / argv[0]).write_text(shown)
+        else:
+            assert program == "ordclass", command
+            assert run(capsys, *argv) == (0, shown, ""), command
+
+
+def test_argv_words_are_arguments_as_they_are(tmp_path, monkeypatch, capsys):
+    """Whitespace, quotes and # inside one command-line word are part of
+    that argument; nothing joins the words into a line to split again."""
+    assert run(capsys, "declare", "A", "1 ") == (
+        2, "", "parse error: declare: LEVEL must be an integer, not '1 '\n"
+    )
+    assert run(capsys, "eval", "w+1 #x") == (
+        2, "", "parse error: unexpected character '#' (at position 4)\n"
+    )
+    assert run(capsys, "#", "eval", "w") == (1, "", "error: unknown verb '#'\n")
+    monkeypatch.chdir(tmp_path)
+    script = _script(tmp_path, "grid g eps(1) eps(0)\n")
+    assert run(capsys, "--script", script, "export", "g", "a b.json") == (
+        0, "grid g: 51 points, 2 rounds\nwrote a b.json\n", ""
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a b.json", "cached.txt"]
 
 
 _ARGV_WORDS = (
@@ -439,8 +487,7 @@ def test_random_argv_exits_0_1_or_2(argv):
     option with SystemExit 0 or 2; everything else returns its code."""
     sink = io.StringIO()
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("ORDCLASS_CACHE_DIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # files the argv names are written here
         try:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -847,6 +894,48 @@ def test_a_negative_integer_is_a_domain_error(capsys):
     code, out, err = run(capsys, "declare", "C", "-1")
     assert code == 1 and err.strip() == "error: atom level must be >= 1, got -1"
     assert run(capsys, "declare", "C", "\u0663")[:2] == (0, "declared C@3\n")
+
+
+def _shell_words(line):
+    """The words of a drawn line, or None if a dropped word left a quote
+    unclosed."""
+    try:
+        return shlex.split(line)
+    except ValueError:
+        return None
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_SESSION_SETUP = "declare A 2\ndeclare B 1\ngrid g eps(1) eps(0)\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _commands(),
+        _commands(_DISPATCH_KINDS),
+        _miscounted(),
+        _commands(_DISPATCH_KINDS, verbs=("grid",)),
+    ).map(_shell_words).filter(lambda words: words is not None)
+)
+def test_argv_and_a_script_line_agree(words):
+    """The words of a command given on the command line (after --, so that a
+    word such as --1 is no option) and the same words as one script line,
+    quoted by shlex.join: the same stdout, stderr and exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        setup, line = Path(tmp, "setup.txt"), Path(tmp, "line.txt")
+        setup.write_text(_SESSION_SETUP)
+        line.write_text(_SESSION_SETUP + shlex.join(words) + "\n")
+        options = ["--grid-cap", "60", "--script"]
+        by_argv = _main_output([*options, str(setup), "--", *words])
+        by_line = _main_output([*options, str(line)])
+    assert by_argv == by_line
 
 
 def test_every_character_splits_as_under_shlex():

@@ -474,7 +474,7 @@ def test_a_value_above_an_undecidable_pair_is_the_maximum(tmp_path, capsys):
     path = tmp_path / "ctx.json"
     path.write_text(json.dumps(_FOUND))
     for verb, want in (("eta", "D@2*2"), ("ell", "E@2*4")):
-        assert main(["--context", str(path), f"{verb} 1 E@2 w^(E@2)*4"]) == 0
+        assert main(["--context", str(path), verb, "1", "E@2", "w^(E@2)*4"]) == 0
         assert capsys.readouterr().out == want + "\n"
     for cls in (ClassContext, ScanContext):
         ctx = cls.from_json(_FOUND)

@@ -24,7 +24,6 @@ from oracle_reference import (
     slow_check_pair,
 )
 from ordclass import terms as tm
-from ordclass.cli import _render
 from ordclass.context import ClassContext, chain_bound
 from ordclass.errors import (
     GridCapExceeded,
@@ -406,9 +405,7 @@ def assert_grid_eta_ell_match_reference(rel, alphas):
         for k in (0, 1, 2):
             for t in (*points, copy.deepcopy(points[-1]), *_probes(alpha, k)):
                 for fast, slow in ((eta_compute, reference_eta), (l_compute, reference_ell)):
-                    got = _text_outcome(
-                        lambda: fast(rel, k, alpha, t), lambda v: _render(rel, v)
-                    )
+                    got = _text_outcome(lambda: fast(rel, k, alpha, t), render_ord)
                     want = _text_outcome(lambda: slow(k, alpha, t, rel), render_ord)
                     assert got == want, (fast.__name__, k, alpha, t)
 
@@ -479,7 +476,7 @@ def _regime_outcomes(rel, ctx):
             for t in points:
                 key = (fn.__name__, render_ord(tm.Leaf(alpha)), render_ord(t))
                 out[key] = (
-                    outcome(lambda: fn(rel, 1, alpha, t), lambda v: _render(rel, v)),
+                    outcome(lambda: fn(rel, 1, alpha, t), render_ord),
                     outcome(lambda: fn(ctx, 1, alpha, t), render_ord),
                 )
     return out

@@ -21,7 +21,6 @@ SCRIPTS = ROOT / "scripts"
 
 def test_anchor_report_writes_the_exports(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("ORDCLASS_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-m", "ordclass", "--format", "json",
          "--script", str(SCRIPTS / "anchor_report.txt")],
