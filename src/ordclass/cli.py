@@ -127,22 +127,18 @@ def _split(command):
     return shlex.split(command, comments=True)
 
 
-def run_command(session: Session, command: str | list[str]):
-    """Execute one command, a script line (split by _split) or the words of
-    one command as they are; returns (text, payload) with payload JSON-able,
-    ("", None) for no words (a blank or comment line).
+def run_command(session: Session, command: str):
+    """Execute one command line (split by _split); returns (text, payload)
+    with payload JSON-able, ("", None) for a blank or comment line.
 
     The arguments are read by their names in _SIGNATURES, by the plan in
     _ARITY.  A wrong count, then a non-integer where an integer is due, is a
     usage error (a ParseError) raised before any other argument is read.
     """
-    if isinstance(command, str):
-        try:
-            words = _split(command)
-        except ValueError as exc:  # an unclosed quote or a trailing escape
-            raise ParseError(f"{exc} in {command!r}") from None
-    else:
-        words = command
+    try:
+        words = _split(command)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise ParseError(f"{exc} in {command!r}") from None
     if not words:
         return "", None
     verb, args = words[0], words[1:]
@@ -334,7 +330,9 @@ def main(argv=None) -> int:
             with open(ns.script) as fh:
                 commands.extend(line.strip() for line in fh)
         if ns.command:
-            commands.append(ns.command)  # its words, not a line to split
+            import shlex  # quoted so that _split gives back each word whole
+
+            commands.append(shlex.join(ns.command))
         if not commands:
             parser.print_usage()
             return 0
