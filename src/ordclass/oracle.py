@@ -198,7 +198,8 @@ class Leq1Relation:
         self.frontiers = frontiers
         self.rounds = rounds
         # (alpha, k) -> the ranks that place a point in alpha's level-k
-        # interval, filled by the grid eta/ell of `skeleton`
+        # interval and the table of each prefix's least top-frontier rank,
+        # built by the grid eta/ell of `skeleton` at the first query
         self.windows = {}
 
     # -- queries -------------------------------------------------------------
@@ -349,11 +350,11 @@ def cache_path(cache_dir, grid: Grid):
 def leq1_cached(grid: Grid, cache_dir=None) -> Leq1Relation:
     """Compute or reload the relation; snapshots keyed by grid digest.
 
-    A snapshot is used only if it is JSON for this very grid, with one
-    frontier i <= f_i < n per point and prefix-transitive rows; any other
-    file is a miss, and the relation is computed again and the file
-    rewritten.  A snapshot is written to a temporary file in the cache
-    directory and then renamed, so a failed write leaves no partial file.
+    A snapshot is used only if it is JSON for this very grid that passes
+    `_snapshot_fits`; any other file is a miss, and the relation is
+    computed again and the file rewritten.  A snapshot is written to a
+    temporary file in the cache directory and then renamed, so a failed
+    write leaves no partial file.
     """
     if cache_dir is None:
         return leq1_fixpoint(grid)
@@ -380,14 +381,23 @@ def leq1_cached(grid: Grid, cache_dir=None) -> Leq1Relation:
 
 
 def _snapshot_fits(data, grid: Grid) -> bool:
+    """The snapshot is for this grid, with one frontier i <= f_i < n per
+    point and prefix-transitive rows, and has what every relation
+    `leq1_fixpoint` computes: 1 to MAX_ROUNDS rounds, a reflexive row at each
+    non-epsilon point, and at each epsilon alpha a row that reaches no
+    further than the first point at or above alpha*2 (`_row_frontier`)."""
     if not isinstance(data, dict) or data.get("points") != list(grid.rendered):
         return False
-    f, n = data.get("frontiers"), len(grid.points)
+    f, n, rounds = data.get("frontiers"), len(grid.points), data.get("rounds")
+    pts, eps = grid.points, set(grid.epsilons)
     return (
-        type(data.get("rounds")) is int
+        type(rounds) is int
+        and 1 <= rounds <= MAX_ROUNDS
         and isinstance(f, list)
         and len(f) == n
         and all(type(fi) is int and i <= fi < n for i, fi in enumerate(f))
+        and all(fi == i for i, fi in enumerate(f) if i not in eps)
+        and all(f[i] <= tm.bisect_terms(pts, tm.mul(pts[i], tm.nat(2))) for i in eps)
         # prefix transitivity: i <=1 j <=1 k implies i <=1 k
         and all(f[j] <= fi for i, fi in enumerate(f) for j in range(i, fi + 1))
     )

@@ -90,8 +90,11 @@ def _m_pairs(k, alpha, t, ctx):
 def _grid_window(rel, k, alpha):
     """(bound, ranks) for alpha's level-k interval on rel's grid, kept in
     rel.windows: the chain bound of alpha (the grid's own point if it is
-    one), and ranks = (below, upper, low, start), the numbers of points
-    below alpha, below alpha(+^k), at most the bound, and at most alpha.
+    one), and ranks = (below, upper, low, start, first).  The first four
+    are the numbers of points below alpha, below alpha(+^k), at most the
+    bound, and at most alpha; first[i - start], for start <= i < upper, is
+    the least rank in [start, i] whose frontier is the largest there, found
+    in one pass over the frontiers.
 
     ranks is None if alpha is not a concrete epsilon: a grid may hold a
     leaf whose order against a symbolic alpha is undecidable, which a
@@ -109,22 +112,31 @@ def _grid_window(rel, k, alpha):
         ranks = None
         if isinstance(alpha, tm.ConcreteEps):
             a = tm.Leaf(alpha)
+            start = rel._count_upto(a)
+            upper = tm.bisect_terms(grid.points, tm.Leaf(tm.mk_succ(alpha, k)))
+            f, first, top = rel.frontiers, [], start
+            for j in range(start, upper):
+                if f[j] > f[top]:
+                    top = j
+                first.append(top)
             ranks = (
                 tm.bisect_terms(grid.points, a),
-                tm.bisect_terms(grid.points, tm.Leaf(tm.mk_succ(alpha, k))),
+                upper,
                 tm.bisect_terms(grid.points, bound, right=True),
-                rel._count_upto(a),
+                start,
+                first,
             )
         window = rel.windows[(alpha, k)] = (bound, ranks)
     return window
 
 
-def _grid_span(k, alpha, t, rel):
-    """(bound, span): the chain bound of alpha, and None if t is at most it,
-    else the ranks of the grid points in (alpha, t].
+def _grid_top(k, alpha, t, rel):
+    """(bound, r): the chain bound of alpha, and None if t is at most it,
+    else the least rank r in (alpha, t] whose frontier is the largest there.
 
     For a grid point t the interval checks read its rank against the
-    window's; any other t is compared as a term, and is then no grid point.
+    window's, and r is read off the window's table; any other t is compared
+    as a term, and is then no grid point.
     """
     bound, ranks = _grid_window(rel, k, alpha)
     i = rel.grid.rank_of(t)
@@ -133,13 +145,14 @@ def _grid_span(k, alpha, t, rel):
         if tm.compare(t, bound) is not GT:
             return bound, None
         rel.grid.index(t)  # t must be a grid point
-        return bound, rel.span(tm.Leaf(alpha), t)
-    below, upper, low, start = ranks
+        span, f = rel.span(tm.Leaf(alpha), t), rel.frontiers
+        return bound, f.index(max(f[span.start : span.stop]), span.start, span.stop)
+    below, upper, low, start, first = ranks
     if i < below or i >= upper:
         raise _outside(k, alpha, t, i < below)
     if i < low:
         return bound, None
-    return bound, range(start, i + 1)
+    return bound, first[i - start]
 
 
 def _order(x, y):
@@ -213,10 +226,8 @@ def eta_compute(source, k, alpha, t):
     and t.  A registered leaf is no candidate unless it is one of these.
     """
     if isinstance(source, Leq1Relation):
-        bound, span = _grid_span(k, alpha, t, source)
-        if span is None:
-            return bound
-        return source.grid.points[max(source.frontiers[span.start : span.stop])]
+        bound, r = _grid_top(k, alpha, t, source)
+        return bound if r is None else source.grid.points[source.frontiers[r]]
     bound, triples = _m_pairs(k, alpha, t, source)
     return bound if triples is None else _greatest_m(triples)[0]
 
@@ -224,12 +235,8 @@ def eta_compute(source, k, alpha, t):
 def l_compute(source, k, alpha, t):
     """Least r in (alpha, t] whose m realizes the eta maximum."""
     if isinstance(source, Leq1Relation):
-        bound, span = _grid_span(k, alpha, t, source)
-        if span is None:
-            return bound
-        f = source.frontiers
-        top = max(f[span.start : span.stop])
-        return source.grid.points[f.index(top, span.start, span.stop)]
+        bound, r = _grid_top(k, alpha, t, source)
+        return bound if r is None else source.grid.points[r]
     bound, triples = _m_pairs(k, alpha, t, source)
     if triples is None:
         return bound

@@ -306,6 +306,20 @@ def test_cache_dir_reuse(tmp_path, capsys):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_a_widened_non_epsilon_row_in_the_cache_is_recomputed(tmp_path, capsys):
+    """A snapshot in which the point 1 reaches 2 is no relation the
+    fixpoint computes, so a new session reads the fresh one."""
+    cache = tmp_path / "cache"
+    script = _script(tmp_path, "grid g eps(1) eps(0)\nmhat g 1\nleq1 g 1 2\n")
+    want = (0, "grid g: 51 points, 2 rounds\n1\nfalse (grid-relative)\n", "")
+    assert run(capsys, "--cache-dir", str(cache), "--script", script) == want
+    [path] = cache.iterdir()
+    data = json.loads(path.read_text())
+    data["frontiers"][1] = 2
+    path.write_text(json.dumps(data))
+    assert run(capsys, "--cache-dir", str(cache), "--script", script) == want
+
+
 def test_no_environment_variable_names_a_cache_dir(tmp_path, capsys, monkeypatch):
     """--cache-dir is the one way to name the cache directory."""
     cache = tmp_path / "cache"
@@ -716,10 +730,12 @@ def test_symbolic_l3_answers_do_not_depend_on_query_history():
     assert len(answers[0]) > 500
 
 
-def test_two_grids_keep_their_own_windows():
+def test_two_grids_keep_their_own_windows(monkeypatch):
     """Two grids queried with the same alpha keep their own window entries,
     and each answers as the reference does on it; eps(0) is a point of g
-    but not of h, and the queries alternate between the grids."""
+    but not of h, and the queries alternate between the grids.  A window's
+    table is built once, and once it is, a grid point t is answered from
+    ranks alone, with no term comparison."""
     session = Session()
     run_command(session, "grid g eps(2) eps(0) eps(1)")
     run_command(session, "grid h eps(1) eps(0)+1")
@@ -736,6 +752,14 @@ def test_two_grids_keep_their_own_windows():
                     want = type(exc), str(exc)
                 assert _outcome(session, f"{verb} 1 eps(0) {t} {name}") == want
     assert g.windows[(e0, 1)] != h.windows[(e0, 1)]
+    first = g.windows[(e0, 1)][1][4]
+    calls = []
+    compare = tm.compare
+    monkeypatch.setattr(tm, "compare", lambda a, b: calls.append((a, b)) or compare(a, b))
+    for t in g.grid.rendered:
+        for verb in ("eta", "ell"):
+            _outcome(session, f"{verb} 1 eps(0) {t} g")
+    assert calls == [] and g.windows[(e0, 1)][1][4] is first
 
 
 @pytest.mark.parametrize(

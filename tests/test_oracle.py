@@ -269,6 +269,39 @@ def test_invalid_snapshot_is_a_miss(tmp_path, spoil):
     assert path.read_text() == good  # recomputed and rewritten
 
 
+def _with_frontier(text, i, fi):
+    data = json.loads(text)
+    data["frontiers"][i] = fi
+    return json.dumps(data)
+
+
+# Each spoiled file below is prefix-transitive JSON for its grid, with one
+# frontier i <= f_i < n per point and integer rounds, so only the facts the
+# fixpoint adds tell it apart: on the eps(0) grid below (51 points), row 1
+# (the point 1) is no epsilon, row 9 is eps(0), and eps(0)*2 is point 14.
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda text: _with_frontier(text, 1, 2),
+        lambda text: _with_frontier(text, 9, 15),
+        lambda text: json.dumps({**json.loads(text), "rounds": 0}),
+        lambda text: json.dumps({**json.loads(text), "rounds": oracle.MAX_ROUNDS + 1}),
+    ],
+    ids=["non-epsilon-row-reaches-past-itself", "epsilon-row-reaches-past-its-double", "no-rounds", "rounds-past-the-cap"],
+)
+def test_a_snapshot_the_fixpoint_cannot_compute_is_a_miss(tmp_path, spoil):
+    grid = build_grid(e("eps(1)"), [e("eps(0)")], oracle.ANCHOR_OPS)
+    fresh = leq1_cached(grid, str(tmp_path))
+    assert len(grid.points) == 51 and grid.epsilons == (9,)
+    assert grid.points[14] == tm.mul(grid.points[9], tm.nat(2)) and fresh.frontiers[9] == 14
+    [path] = tmp_path.iterdir()
+    good = path.read_text()
+    path.write_text(spoil(good))
+    again = leq1_cached(grid, str(tmp_path))
+    assert again.frontiers == fresh.frontiers and again.rounds == fresh.rounds
+    assert path.read_text() == good  # recomputed and rewritten
+
+
 def test_failed_write_leaves_no_snapshot(tmp_path, monkeypatch):
     grid = _small_grid()
 

@@ -43,6 +43,8 @@ from ordclass.oracle import (
     leq1_fixpoint,
 )
 from ordclass.terms import EQ, GT, LT
+# eps2_grid is a fixture: pytest finds it by its name in this module
+from test_oracle import _chained_relation, eps2_grid  # noqa: F401
 
 e = parse_ord
 
@@ -438,6 +440,18 @@ def test_grid_eta_ell_match_the_reference_on_grids_seeded_with_atoms(bound, seed
     with pytest.raises(OrderUndecidable):
         tm.bisect_terms(rel.grid.points, tm.Leaf(A1 if A2 in seeds else ATOM_ALPHAS[2]))
     assert_grid_eta_ell_match_reference(rel, [EPS[0], EPS[7], *ATOM_ALPHAS])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 6, 12])
+def test_grid_eta_ell_match_the_reference_on_chained_frontiers(eps2_grid, seed):
+    """Grid eta/ell read the frontiers, not the fixpoint's shape: on it a
+    non-epsilon row is reflexive, so each rank tops its own span, but these
+    prefix-transitive relations have spans whose top frontier is reached
+    first below their last rank, and by two ranks."""
+    rel = _chained_relation(eps2_grid, seed)
+    f, start = rel.frontiers, eps2_grid.index(tm.Leaf(EPS[0])) + 1
+    assert any(f[j] == max(f[start:j]) for j in range(start + 1, len(f)))
+    assert_grid_eta_ell_match_reference(rel, [EPS[0], EPS[1]])
 
 
 @given(
