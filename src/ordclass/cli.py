@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import terms as tm
@@ -68,12 +67,22 @@ def _leaf(session, text):
 
 def _term(session, text):
     """A point of one of the session's grids if text is its canonical text
-    (Grid.by_text), else the parsed text."""
+    (the point at its rank in Grid.by_text), else the parsed text."""
     for rel in session.grids.values():
-        point = rel.grid.by_text.get(text)
-        if point is not None:
-            return point
+        i = rel.grid.by_text.get(text)
+        if i is not None:
+            return rel.grid.points[i]
     return parse_ord(text, session.context.atoms)
+
+
+def _ranks(session, grid, *texts):
+    """The rank in grid of each point text: read from Grid.by_text, else
+    read by _term and found by Grid.index.  All the reads come first, then
+    the "not a grid point" checks, left to right, as when each argument was
+    read as a term before its handler ran."""
+    ranks = [grid.by_text.get(text) for text in texts]
+    points = [_term(session, text) if i is None else None for text, i in zip(texts, ranks)]
+    return [grid.index(p) if i is None else i for p, i in zip(points, ranks)]
 
 
 def _grid(session, name):
@@ -101,28 +110,31 @@ def _epsilons(rel):
 # How each argument name is read into the value its handler takes: an
 # integer by int(text), after a check that text is an optional "-" and the
 # digits the grammar reads as a number (str.isdecimal), any other by
-# reader(session, text).
+# reader(session, text).  A and B, the points of a grid query, stay text:
+# the handler reads each one to its rank in its own grid (_ranks).
 _READERS = {
     **dict.fromkeys(("LEVEL", "N", "K", "J", "I"), int),
     **dict.fromkeys(("ALPHA", "E", "C"), _leaf),
-    **dict.fromkeys(("EXPR", "T", "A", "B", "L", "BOUND", "SEED"), _term),
+    **dict.fromkeys(("EXPR", "T", "L", "BOUND", "SEED"), _term),
+    **dict.fromkeys(("NAME", "A", "B"), _text),
     "GRID": _grid,
-    "NAME": _text,
     "FILE": _file,
 }
 
 
-# A line of printable ASCII without quotes, escapes or comments, whose only
-# other characters are tab, CR and LF, splits the same under str.split as
-# under shlex, at a fraction of the cost; the guard is one ASCII class, as a
-# Unicode category tested at every character costs more than the split.
-_SHELL_SYNTAX = re.compile(r"[^\t\n\r\x20\x21\x24-\x26\x28-\x5b\x5d-\x7e]")
+def _plain(line):
+    """A line of printable ASCII without quotes, escapes or comments: it
+    splits the same under str.split as under shlex, at a fraction of the
+    cost."""
+    return line.isascii() and line.isprintable() and not (
+        '"' in line or "'" in line or "\\" in line or "#" in line
+    )
 
 
 def _split(command):
-    if _SHELL_SYNTAX.search(command) is None:
+    if _plain(command):
         return command.split()
-    import shlex  # only a line with quotes, escapes, comments or non-ASCII
+    import shlex  # a line with quotes, escapes, comments, tabs or non-ASCII
 
     return shlex.split(command, comments=True)
 
@@ -246,15 +258,22 @@ def _cmd_grid(session, name, bound, *seeds):
 
 @_verb("GRID A B")
 def _cmd_leq1(session, rel, a, b):
-    answer = rel.leq1(a, b)
+    by_text = rel.grid.by_text
+    i, j = by_text.get(a), by_text.get(b)
+    if i is None or j is None:
+        i, j = _ranks(session, rel.grid, a, b)
+    answer = rel.reaches(i, j)
     text = f"{'true' if answer else 'false'} (grid-relative)"
     return text, {"leq1": answer, "grid_relative": True}
 
 
-@_verb("GRID T")
-def _cmd_mhat(session, rel, t):
+@_verb("GRID A")
+def _cmd_mhat(session, rel, a):
     grid = rel.grid
-    f = rel.frontiers[grid.index(t)]
+    i = grid.by_text.get(a)
+    if i is None:
+        (i,) = _ranks(session, grid, a)
+    f = rel.frontiers[i]
     value = grid.rendered[f]
     # the frontier at the grid edge (Leq1Relation.boundary_suspect)
     return value, {"m_hat": value, "boundary": f == len(grid.points) - 1}

@@ -122,9 +122,10 @@ class Grid(tm.Frozen):
 
     @functools.cached_property
     def by_text(self) -> dict:
-        """The canonical text of each point -> the point itself.  Printed
-        terms re-parse to equal terms, so a text found here needs no parse."""
-        return dict(zip(self.rendered, self.points))
+        """The canonical text of each point -> its rank.  Printed terms
+        re-parse to equal terms, so a text found here needs no parse, and
+        its rank no term hashed or compared."""
+        return {text: i for i, text in enumerate(self.rendered)}
 
     def digest(self) -> str:
         payload = ";".join(self.rendered)
@@ -205,9 +206,11 @@ class Leq1Relation:
     # -- queries -------------------------------------------------------------
 
     def leq1(self, a: tm.OrdTerm, b: tm.OrdTerm) -> bool:
-        i = self.grid.index(a)
-        j = self.grid.index(b)
-        return j <= self.frontiers[i] if i <= j else False
+        return self.reaches(self.grid.index(a), self.grid.index(b))
+
+    def reaches(self, i: int, j: int) -> bool:
+        """points[i] <=1 points[j], for ranks i and j."""
+        return i <= j <= self.frontiers[i]
 
     def m_hat(self, t: tm.OrdTerm) -> tm.OrdTerm:
         return self.grid.points[self.frontiers[self.grid.index(t)]]
@@ -382,10 +385,12 @@ def leq1_cached(grid: Grid, cache_dir=None) -> Leq1Relation:
 
 def _snapshot_fits(data, grid: Grid) -> bool:
     """The snapshot is for this grid, with one frontier i <= f_i < n per
-    point and prefix-transitive rows, and has what every relation
-    `leq1_fixpoint` computes: 1 to MAX_ROUNDS rounds, a reflexive row at each
-    non-epsilon point, and at each epsilon alpha a row that reaches no
-    further than the first point at or above alpha*2 (`_row_frontier`)."""
+    point, and has what every relation `leq1_fixpoint` computes: 1 to
+    MAX_ROUNDS rounds, a reflexive row at each non-epsilon point, at each
+    epsilon alpha a row that reaches no further than the first point at or
+    above alpha*2, and f_j <= f_i + 1 for i <= j <= f_i (`_row_frontier`:
+    in the last round no row changed, so a row j that row i reaches ends at
+    most one past f_i)."""
     if not isinstance(data, dict) or data.get("points") != list(grid.rendered):
         return False
     f, n, rounds = data.get("frontiers"), len(grid.points), data.get("rounds")
@@ -398,6 +403,5 @@ def _snapshot_fits(data, grid: Grid) -> bool:
         and all(type(fi) is int and i <= fi < n for i, fi in enumerate(f))
         and all(fi == i for i, fi in enumerate(f) if i not in eps)
         and all(f[i] <= tm.bisect_terms(pts, tm.mul(pts[i], tm.nat(2))) for i in eps)
-        # prefix transitivity: i <=1 j <=1 k implies i <=1 k
-        and all(f[j] <= fi for i, fi in enumerate(f) for j in range(i, fi + 1))
+        and all(f[j] <= fi + 1 for i, fi in enumerate(f) for j in range(i, fi + 1))
     )

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import cli_reference
 from oracle_reference import reference_ell, reference_eta
 from ordclass import cli, hierarchy, terms as tm
-from ordclass.cli import _SHELL_SYNTAX, _SIGNATURES, Session, _split, main, run_command
+from ordclass.cli import _SIGNATURES, Session, _plain, _split, main, run_command
 from ordclass.errors import MissingMValue, OrdinalError, ParseError
 from ordclass.context import ClassContext
 from ordclass.grammar import parse_ord, render_leaf, render_ord
@@ -350,7 +350,7 @@ _LINE_CHARS = list("abc019()+*^@,_w-") + [" ", "\t", "\r", "\n", "\x0b", "\x0c",
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet=st.sampled_from(_LINE_CHARS), max_size=40))
 def test_plain_lines_split_like_shlex(line):
-    if _SHELL_SYNTAX.search(line) is None:
+    if _plain(line):
         assert line.split() == shlex.split(line, comments=True)
     assert _split(line) == shlex.split(line, comments=True)
 
@@ -684,6 +684,60 @@ def test_grid_queries_answer_the_same_by_text_and_by_parse(monkeypatch, grid_com
         for alpha in sorted(alphas):
             both("eta 1 {} {} g", alpha, text)
             both("ell 1 {} {} g", alpha, text)
+
+
+@pytest.fixture(scope="module")
+def query_session(anchor_rel):
+    """The eps(1) and eps(3) anchor grids and a grid with a non-principal
+    seed, in one session with a declared atom."""
+    session = Session()
+    for command in ("declare A 2", "grid g1 eps(1) eps(0)", "grid gn eps(1) eps(0)+1"):
+        run_command(session, command)
+    session.grids["g3"] = anchor_rel
+    return session
+
+
+_QUERY_GRIDS = ("g1", "g3", "gn")
+_NON_POINTS = ["eps(3)", "eps(0)*2+w*7", "w^w^w", "eps(0)*3", "A@2", "B@1", "eps(0)+3"]
+_UNPARSEABLE = ["eps(", "w+", ")", "1.5", "eps(0)**2", "w^", "A@", "eps(-1)"]
+_ARG_KINDS = ("canonical", "0+", "other grid", "non-point", "unparseable")
+
+
+def _point_word(session, own, kind, k):
+    """The k-th word (mod the pool's size) of a kind of point argument to a
+    query on grid own."""
+    texts = session.grids[own].grid.rendered
+    pool = {
+        "canonical": texts,
+        "0+": ["0+" + text for text in texts],
+        "other grid": [t for g in _QUERY_GRIDS if g != own for t in session.grids[g].grid.rendered],
+        "non-point": _NON_POINTS,
+        "unparseable": _UNPARSEABLE,
+    }[kind]
+    return pool[k % len(pool)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["leq1", "mhat"]),
+    st.sampled_from([*_QUERY_GRIDS, "zz"]),  # zz is no grid
+    st.lists(st.tuples(st.sampled_from(_ARG_KINDS), st.integers(0, 10**4)), min_size=2, max_size=2),
+)
+def test_grid_queries_answer_as_the_reference_does(query_session, verb, name, args):
+    """leq1 and mhat read each point argument to its rank in their own grid
+    and fall back to the parse for any other spelling; every answer, error
+    type and message is the one the term path (tests/cli_reference.py)
+    gives, whatever the mix of canonical texts, 0+ spellings, other grids'
+    points, non-points, unparseable texts and unknown grids."""
+    own = name if name in _QUERY_GRIDS else "g1"
+    words = [_point_word(query_session, own, kind, k) for kind, k in args]
+    command = " ".join([verb, name, *words[: 2 if verb == "leq1" else 1]])
+    got = _outcome(query_session, command)
+    try:
+        want = cli_reference.run_grid_query(query_session, command)
+    except OrdinalError as exc:
+        want = type(exc), str(exc)
+    assert got == want, command
 
 
 def _perfbench_workloads():

@@ -302,6 +302,36 @@ def test_a_snapshot_the_fixpoint_cannot_compute_is_a_miss(tmp_path, spoil):
     assert path.read_text() == good  # recomputed and rewritten
 
 
+def _undoubled_grid():
+    """A library grid closed without `double` (26 points, epsilons at ranks
+    4, 8 and 15): the fixpoint gives eps(0) the frontier 8, eps(1), the
+    first point >= eps(0)*2, and eps(1) the frontier 9, one past it, as
+    `_row_frontier` allows one past a lower row that reaches it."""
+    ops = GridOps(add=True, double=False, succ=True, tower_height=0, coeff_cap=1, tail_cap=1, max_monomials=3)
+    return build_grid(e("eps(3)"), [e("eps(0)"), e("eps(1)"), e("eps(2)")], ops)
+
+
+def test_a_row_one_past_a_lower_row_is_a_hit(tmp_path, monkeypatch):
+    """Such a relation is not prefix-transitive; its snapshot is a hit all
+    the same, and a row two past the lower row is a miss."""
+    grid = _undoubled_grid()
+    fresh = leq1_cached(grid, str(tmp_path))
+    assert grid.epsilons == (4, 8, 15) and fresh.frontiers[4] == 8 and fresh.frontiers[8] == 9
+    [path] = tmp_path.iterdir()
+    good = path.read_text()
+
+    def miss(grid):
+        raise AssertionError("cache miss")
+
+    monkeypatch.setattr(oracle, "leq1_fixpoint", miss)
+    again = leq1_cached(grid, str(tmp_path))
+    assert again.frontiers == fresh.frontiers and again.rounds == fresh.rounds
+    monkeypatch.undo()
+    path.write_text(_with_frontier(good, 8, 10))  # 10 <= 15, the rank of the first point >= eps(1)*2
+    assert leq1_cached(grid, str(tmp_path)).frontiers == fresh.frontiers
+    assert path.read_text() == good  # recomputed and rewritten
+
+
 def test_failed_write_leaves_no_snapshot(tmp_path, monkeypatch):
     grid = _small_grid()
 

@@ -38,6 +38,7 @@ from ordclass.oracle import (
     ANCHOR_OPS,
     Grid,
     GridOps,
+    _snapshot_fits,
     _sorted_terms,
     build_grid,
     leq1_fixpoint,
@@ -254,6 +255,24 @@ SEEDS = ["eps(0)", "eps(1)", "eps(2)", "w*2", "eps(0)+w", "w^(w+1)"]
 @settings(max_examples=60, deadline=None)
 def test_random_grids_match_reference(ops, bound, seeds, cap):
     assert_front_end_matches(e(bound), [e(s) for s in seeds], ops, cap)
+
+
+@given(
+    ops_st,
+    st.sampled_from(["eps(1)", "eps(2)", "eps(3)", "eps(0)*3", "eps(1)*3", "eps(2)*3"]),
+    st.lists(st.sampled_from(["eps(0)", "eps(1)", "eps(2)"]), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_computed_relation_fits_its_snapshot_check(ops, bound, seeds):
+    """The cache trusts what the fixpoint computes: a snapshot of any
+    relation `leq1_fixpoint` returns is read back as a hit, also where a row
+    reaches one past a lower row that reaches it (grids without `double`)."""
+    try:
+        grid = build_grid(e(bound), [e(s) for s in seeds], ops, cap=30)
+    except GridCapExceeded:
+        reject()
+    rel = leq1_fixpoint(grid)
+    assert _snapshot_fits(json.loads(json.dumps(rel.snapshot())), grid)
 
 
 # For each pair it checks and each subset of alpha's window, the reference
