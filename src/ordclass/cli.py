@@ -23,7 +23,7 @@ from .errors import OrdinalError, ParseError, UndeclaredAtom
 from .grammar import parse_ord, render_leaf, render_ord
 from .hierarchy import A_successor_step, G_sample, G_set
 from .oracle import GRID_CAP, build_grid, leq1_cached
-from .skeleton import T_set, canonical_point, eta_compute, g_map, l_compute
+from .skeleton import T_set, canonical_point, eta_compute, g_map, grid_top_at, l_compute
 
 
 class Session:
@@ -110,13 +110,15 @@ def _epsilons(rel):
 # How each argument name is read into the value its handler takes: an
 # integer by int(text), after a check that text is an optional "-" and the
 # digits the grammar reads as a number (str.isdecimal), any other by
-# reader(session, text).  A and B, the points of a grid query, stay text:
-# the handler reads each one to its rank in its own grid (_ranks).
+# reader(session, text).  A and B, the points of leq1 and mhat, stay text:
+# the handler reads each one to its rank in its own grid (_ranks).  So do
+# BASE, TOP and GRIDNAME, eta and ell's ALPHA, T and GRID, which their
+# handler reads to ranks, or as _leaf, _term and _grid (_interval_value).
 _READERS = {
     **dict.fromkeys(("LEVEL", "N", "K", "J", "I"), int),
     **dict.fromkeys(("ALPHA", "E", "C"), _leaf),
     **dict.fromkeys(("EXPR", "T", "L", "BOUND", "SEED"), _term),
-    **dict.fromkeys(("NAME", "A", "B"), _text),
+    **dict.fromkeys(("NAME", "A", "B", "BASE", "TOP", "GRIDNAME"), _text),
     "GRID": _grid,
     "FILE": _file,
 }
@@ -206,15 +208,39 @@ def _cmd_gmap(session, n, alpha, c):
     return json.dumps(data, sort_keys=True), data
 
 
-@_verb("K ALPHA T [GRID]")
-def _cmd_eta(session, k, alpha, t, rel=None):
-    text = render_ord(eta_compute(rel or session.context, k, alpha, t))
+def _interval_value(session, k, alpha, t, name, compute):
+    """The text of compute(source, k, ALPHA, T), compute being eta_compute
+    or l_compute.  Where GRID names a grid that holds ALPHA, a concrete
+    epsilon, and T inside ALPHA's interval, both in their canonical text,
+    the answer is read from ranks (skeleton.grid_top_at): a point's text
+    from Grid.rendered, or the chain bound's.  Anything else reads ALPHA as
+    a leaf, T as a term and GRID as a grid, in that order, and runs compute
+    on the grid, or on the context if no GRID is given."""
+    rel = session.grids.get(name)
+    if rel is not None:
+        grid = rel.grid
+        i, j = grid.by_text.get(alpha), grid.by_text.get(t)
+        if i is not None and j is not None:
+            top = grid_top_at(rel, k, i, j)
+            if top is not None:
+                bound, r = top
+                if r is None:
+                    return render_ord(bound)
+                return grid.rendered[rel.frontiers[r] if compute is eta_compute else r]
+    alpha, t = _leaf(session, alpha), _term(session, t)
+    source = session.context if name is None else _grid(session, name)
+    return render_ord(compute(source, k, alpha, t))
+
+
+@_verb("K BASE TOP [GRIDNAME]")
+def _cmd_eta(session, k, alpha, t, name=None):
+    text = _interval_value(session, k, alpha, t, name, eta_compute)
     return text, {"value": text}
 
 
-@_verb("K ALPHA T [GRID]")
-def _cmd_ell(session, k, alpha, t, rel=None):
-    text = render_ord(l_compute(rel or session.context, k, alpha, t))
+@_verb("K BASE TOP [GRIDNAME]")
+def _cmd_ell(session, k, alpha, t, name=None):
+    text = _interval_value(session, k, alpha, t, name, l_compute)
     return text, {"value": text}
 
 

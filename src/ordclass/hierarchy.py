@@ -15,6 +15,7 @@ from __future__ import annotations
 from . import terms as tm
 from .context import chain_bound
 from .errors import LevelViolation, Undecidable
+from .grammar import render_leaf, render_ord
 from .oracle import Leq1Relation
 from .skeleton import T_set, eta_compute, g_map, l_compute
 from .subst import apply_subst
@@ -42,13 +43,13 @@ def leq1_query(source, beta: tm.EpsLeaf, v: tm.OrdTerm):
         if b in source.grid:
             answer = tm.compare(v, source.m_hat(b)) is not GT
             return answer, "grid"
-        raise Undecidable(f"{beta!r} is outside the grid")
+        raise Undecidable(f"{render_leaf(beta)} is outside the grid")
     level = tm.leaf_level(beta)
     if tm.compare(v, chain_bound(beta, level)) is not GT:
         return True, "level-rule"
     if b in source.m_table:
         return tm.compare(v, source.m_table[b]) is not GT, "annotation"
-    raise Undecidable(f"beta <=1 {v!r} has no grid value or annotation")
+    raise Undecidable(f"beta <=1 {render_ord(v)} has no grid value or annotation")
 
 
 def _inside(leaves, r):

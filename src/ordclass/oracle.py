@@ -198,9 +198,10 @@ class Leq1Relation:
         self.grid = grid
         self.frontiers = frontiers
         self.rounds = rounds
-        # (alpha, k) -> the ranks that place a point in alpha's level-k
-        # interval and the table of each prefix's least top-frontier rank,
-        # built by the grid eta/ell of `skeleton` at the first query
+        # (alpha's rank, k), or (alpha, k) for an alpha that is no grid
+        # point -> the ranks that place a point in alpha's level-k interval
+        # and the table of each prefix's least top-frontier rank, built by
+        # the grid eta/ell of `skeleton` at the first query
         self.windows = {}
 
     # -- queries -------------------------------------------------------------

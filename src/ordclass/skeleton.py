@@ -18,6 +18,7 @@ from .errors import (
     RegimeMixed,
     Undecidable,
 )
+from .grammar import render_leaf, render_ord
 from .oracle import Leq1Relation
 from .subst import SubstMap, apply_subst, make_map
 from .terms import EQ, GT, LT
@@ -30,15 +31,15 @@ def _check_level(k, alpha):
         raise LevelViolation("class level must be >= 1")
     if tm.leaf_level(alpha) < k:
         raise LevelViolation(
-            f"{alpha!r} has level {tm.leaf_level(alpha)} < {k}"
+            f"{render_leaf(alpha)} has level {tm.leaf_level(alpha)} < {k}"
         )
 
 
 def _outside(k, alpha, t, below):
     """The error for a t below alpha (below) or at or above alpha(+^k)."""
     if below:
-        return LevelViolation(f"{t!r} lies below {alpha!r}")
-    return LevelViolation(f"{t!r} is not below {alpha!r}(+^{k})")
+        return LevelViolation(f"{render_ord(t)} lies below {render_leaf(alpha)}")
+    return LevelViolation(f"{render_ord(t)} is not below {render_leaf(alpha)}(+^{k})")
 
 
 def _check_interval(k, alpha, t):
@@ -89,8 +90,9 @@ def _m_pairs(k, alpha, t, ctx):
 
 def _grid_window(rel, k, alpha):
     """(bound, ranks) for alpha's level-k interval on rel's grid, kept in
-    rel.windows: the chain bound of alpha (the grid's own point if it is
-    one), and ranks = (below, upper, low, start, first).  The first four
+    rel.windows under (alpha's rank, k) if alpha is a grid point, else
+    under (alpha, k): the chain bound of alpha (the grid's own point if it
+    is one), and ranks = (below, upper, low, start, first).  The first four
     are the numbers of points below alpha, below alpha(+^k), at most the
     bound, and at most alpha; first[i - start], for start <= i < upper, is
     the least rank in [start, i] whose frontier is the largest there, found
@@ -101,17 +103,19 @@ def _grid_window(rel, k, alpha):
     bisection can step past, so such an alpha is compared as a term.
     Against a concrete epsilon every term has a decidable place.
     """
-    window = rel.windows.get((alpha, k))
+    grid = rel.grid
+    a = tm.Leaf(alpha)
+    i = grid.rank_of(a)
+    key = (alpha if i is None else i, k)
+    window = rel.windows.get(key)
     if window is None:
         _check_level(k, alpha)
-        grid = rel.grid
         bound = chain_bound(alpha, k)
-        i = grid.rank_of(bound)
-        if i is not None:
-            bound = grid.points[i]
+        b = grid.rank_of(bound)
+        if b is not None:
+            bound = grid.points[b]
         ranks = None
         if isinstance(alpha, tm.ConcreteEps):
-            a = tm.Leaf(alpha)
             start = rel._count_upto(a)
             upper = tm.bisect_terms(grid.points, tm.Leaf(tm.mk_succ(alpha, k)))
             f, first, top = rel.frontiers, [], start
@@ -126,8 +130,30 @@ def _grid_window(rel, k, alpha):
                 start,
                 first,
             )
-        window = rel.windows[(alpha, k)] = (bound, ranks)
+        window = rel.windows[key] = (bound, ranks)
     return window
+
+
+def grid_top_at(rel, k, i, j):
+    """_grid_top read from ranks alone, for alpha the concrete epsilon at
+    rank i of rel's grid and t the point at rank j inside alpha's level-k
+    interval: (bound, None) if t is at most the bound, else (bound, r).
+    None if points[i] is no concrete epsilon or t lies outside the
+    interval; _grid_top then answers, or raises, by terms.  The window is
+    found by alpha's rank, so no term is hashed once it is built."""
+    window = rel.windows.get((i, k))
+    if window is None:
+        alpha = rel.grid.points[i]
+        if not (isinstance(alpha, tm.Leaf) and isinstance(alpha.leaf, tm.ConcreteEps)):
+            return None
+        window = _grid_window(rel, k, alpha.leaf)
+    bound, ranks = window
+    if ranks is None:
+        return None
+    below, upper, low, start, first = ranks
+    if not below <= j < upper:
+        return None
+    return bound, (None if j < low else first[j - start])
 
 
 def _grid_top(k, alpha, t, rel):
@@ -280,7 +306,7 @@ def canonical_point(source, i, e, k) -> CanonicalData:
     if i < 1 or k < 1:
         raise LevelViolation("canonical sequence needs i >= 1 and k >= 1")
     if tm.leaf_level(e) < i:
-        raise LevelViolation(f"{e!r} has level below {i}")
+        raise LevelViolation(f"{render_leaf(e)} has level below {i}")
     if isinstance(source, Leq1Relation):
         if i > 1:
             raise RegimeMixed("a grid relation only carries level-1 canonical data")
@@ -312,7 +338,7 @@ def T_set(ctx: ClassContext, n: int, alpha: tm.EpsLeaf, t: tm.OrdTerm):
         raise LevelViolation("T-set level must be >= 1")
     upper = tm.Leaf(tm.mk_succ(alpha, n))
     if tm.compare(t, upper) is not LT:
-        raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{n})")
+        raise LevelViolation(f"{render_ord(t)} is not below {render_leaf(alpha)}(+^{n})")
     if n == 1:
         return tm.ep_set(t)
     a = tm.Leaf(alpha)
@@ -358,7 +384,7 @@ def _o_step(ctx, n, delta):
         return ()
     lam = lambda_locate(k + 1, tm.Leaf(delta))
     if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
-        raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
+        raise Undecidable(f"lambda({k + 1}, {render_leaf(delta)}) is not an ordinal")
     return (*f_and_S(ctx, k + 1, lam, delta)[1], *tm.ep_set(ctx.m_of(tm.Leaf(delta))), lam)
 
 
@@ -405,9 +431,9 @@ def g_map(n: int, alpha: tm.EpsLeaf, c: tm.EpsLeaf) -> SubstMap:
     if n < 1:
         raise LevelViolation("g-map level must be >= 1")
     if tm.leaf_level(alpha) < n:
-        raise LevelViolation(f"{alpha!r} has level below {n}")
+        raise LevelViolation(f"{render_leaf(alpha)} has level below {n}")
     if tm.leaf_level(c) < n:
-        raise LevelViolation(f"{c!r} has level below {n}")
+        raise LevelViolation(f"{render_leaf(c)} has level below {n}")
     threshold = (
         alpha if tm.compare_leaves(alpha, c) is not GT else c
     )

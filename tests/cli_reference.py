@@ -12,16 +12,19 @@ third field is now the reader of a repeated argument (None if none)
 where it was a flag.
 
 Below it, the grid queries `leq1` and `mhat` as they were before they read
-their point arguments straight to ranks (`run_grid_query`)."""
+their point arguments straight to ranks, and `eta` and `ell` as they were
+before they read ALPHA, T and GRID straight to ranks (`run_grid_query`)."""
 
 from __future__ import annotations
 
 import re
 import shlex
 
+from ordclass import terms as tm
 from ordclass.cli import _ARITY, _READERS, _SIGNATURES, _VERBS, _grid
 from ordclass.errors import OrdinalError, ParseError
-from ordclass.grammar import parse_ord
+from ordclass.grammar import parse_ord, render_ord
+from ordclass.skeleton import eta_compute, l_compute
 
 
 # A line without quotes, escapes or comments, whose only whitespace is what
@@ -73,13 +76,14 @@ def run_command(session, command: str):
 
 
 # ---------------------------------------------------------------------------
-# The grid queries `leq1` and `mhat` as they were before they read their
-# point arguments straight to ranks: each point argument was read as a term
-# by _term before the handler ran, and the handler found its rank by
-# Grid.index.  _term, _cmd_leq1 and _cmd_mhat are kept verbatim but for two
-# edits: _term reads the text table as it was (text -> point, `_by_text`,
-# where Grid.by_text now maps text -> rank), and _cmd_leq1 calls
-# Leq1Relation.leq1 as it was (`_leq1`).
+# The grid queries as they were before they read their arguments straight to
+# ranks: `leq1` and `mhat` read each point argument as a term by _term before
+# the handler ran, and the handler found its rank by Grid.index; `eta` and
+# `ell` read ALPHA by _leaf, T by _term and GRID by _grid, in that order, and
+# ran eta_compute or l_compute.  _leaf, _term, _cmd_leq1, _cmd_mhat, _cmd_eta
+# and _cmd_ell are kept verbatim but for two edits: _term reads the text
+# table as it was (text -> point, `_by_text`, where Grid.by_text now maps
+# text -> rank), and _cmd_leq1 calls Leq1Relation.leq1 as it was (`_leq1`).
 
 
 def _by_text(grid):
@@ -90,6 +94,13 @@ def _leq1(rel, a, b):
     i = rel.grid.index(a)
     j = rel.grid.index(b)
     return j <= rel.frontiers[i] if i <= j else False
+
+
+def _leaf(session, text):
+    t = _term(session, text)
+    if not isinstance(t, tm.Leaf):
+        raise OrdinalError(f"{text!r} is not an epsilon leaf")
+    return t.leaf
 
 
 def _term(session, text):
@@ -116,12 +127,31 @@ def _cmd_mhat(session, rel, t):
     return value, {"m_hat": value, "boundary": f == len(grid.points) - 1}
 
 
+def _cmd_eta(session, k, alpha, t, rel=None):
+    text = render_ord(eta_compute(rel or session.context, k, alpha, t))
+    return text, {"value": text}
+
+
+def _cmd_ell(session, k, alpha, t, rel=None):
+    text = render_ord(l_compute(rel or session.context, k, alpha, t))
+    return text, {"value": text}
+
+
 _GRID_QUERIES = {"leq1": _cmd_leq1, "mhat": _cmd_mhat}
+_INTERVAL_QUERIES = {"eta": _cmd_eta, "ell": _cmd_ell}
 
 
 def run_grid_query(session, command: str):
-    """A leq1 or mhat command with its arguments counted right: the grid
-    read first, then each point as a term, left to right."""
-    verb, name, *points = command.split()
+    """A leq1, mhat, eta or ell command with its arguments counted right and
+    K an integer.  leq1 and mhat read the grid first, then each point as a
+    term, left to right; eta and ell read K, then ALPHA, T and the grid if
+    one is named, in that order."""
+    verb, *args = command.split()
+    if verb in _INTERVAL_QUERIES:
+        k, alpha, t, *name = args
+        values = [int(k), _leaf(session, alpha), _term(session, t)]
+        values += [_grid(session, n) for n in name]
+        return _INTERVAL_QUERIES[verb](session, *values)
+    name, *points = args
     rel = _grid(session, name)
     return _GRID_QUERIES[verb](session, rel, *(_term(session, p) for p in points))

@@ -25,6 +25,7 @@ import itertools
 from ordclass import terms as tm
 from ordclass.context import chain_bound, lambda_locate
 from ordclass.errors import IterationCapExceeded, LevelViolation, OrderUndecidable, Undecidable
+from ordclass.grammar import render_leaf, render_ord
 from ordclass.skeleton import O_RECURSION_CAP, _check_interval, _in_open_interval, f_and_S
 from ordclass.terms import EQ, GT, LT
 
@@ -220,7 +221,7 @@ def reference_T_set(ctx, n, alpha, t):
         raise LevelViolation("T-set level must be >= 1")
     upper = tm.Leaf(tm.mk_succ(alpha, n))
     if tm.compare(t, upper) is not LT:
-        raise LevelViolation(f"{t!r} is not below {alpha!r}(+^{n})")
+        raise LevelViolation(f"{render_ord(t)} is not below {render_leaf(alpha)}(+^{n})")
     if n == 1:
         return tm.ep_set(t)
     a = tm.Leaf(alpha)
@@ -248,7 +249,7 @@ def reference_T_set(ctx, n, alpha, t):
                 continue
             lam = lambda_locate(k + 1, tm.Leaf(delta))
             if not isinstance(lam, (tm.ConcreteEps, tm.ClassAtom, tm.Succ, tm.CanonicalPoint)):
-                raise Undecidable(f"lambda({k + 1}, {delta!r}) is not an ordinal")
+                raise Undecidable(f"lambda({k + 1}, {render_leaf(delta)}) is not an ordinal")
             new.update(f_and_S(ctx, k + 1, lam, delta)[1])
             new.update(tm.ep_set(ctx.m_of(tm.Leaf(delta))))
             new.add(lam)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cli_reference
 from oracle_reference import reference_ell, reference_eta
+from test_oracle import _chained_relation
 from ordclass import cli, hierarchy, terms as tm
 from ordclass.cli import _SIGNATURES, Session, _plain, _split, main, run_command
 from ordclass.errors import MissingMValue, OrdinalError, ParseError
@@ -402,7 +403,7 @@ def test_optional_and_repeated_arguments(tmp_path, capsys):
     assert code == 0, err
     assert out.splitlines()[0] == "grid g: 243 points, 2 rounds"
     code, _, err = run(capsys, "eta", "1", "eps(0)", "eps(0)*2+1", "g", "extra")
-    assert code == 2 and "usage: eta K ALPHA T [GRID]" in err
+    assert code == 2 and "usage: eta K BASE TOP [GRIDNAME]" in err
 
 
 def test_usage_error_names_the_signature(capsys):
@@ -622,7 +623,8 @@ def test_a_grid_point_too_long_to_print_is_a_domain_error(tmp_path, capsys, cach
             "parse error: cannot apply (+^2) to a level-1 leaf eps(<26576-bit number>)"
             " (at position 8008)",
         ),
-        ("eta 2 eps({n}) eps(0)", 1, "error: eps(<26576-bit number>) has level 1 < 2"),
+        # a domain error prints its terms, and the printer's refusal stands in for it
+        ("eta 2 eps({n}) eps(0)", 1, "error: number too long to print"),
     ],
 )
 def test_an_error_names_a_natural_too_long_to_print_by_its_size(capsys, command, code, message):
@@ -630,6 +632,24 @@ def test_an_error_names_a_natural_too_long_to_print_by_its_size(capsys, command,
     got, out, err = run(capsys, *command.format(n=f"{nines}*{nines}").split())
     assert got == code and out == ""
     assert err.strip() == message and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", [[], ["g"]])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("eta 1 eps(1) w*2", "w*2 lies below eps(1)"),
+        ("ell 1 eps(0) eps(1)+w", "eps(1)+w is not below eps(0)(+^1)"),
+        ("eta 2 eps(0) eps(0)+1", "eps(0) has level 1 < 2"),
+    ],
+)
+def test_a_domain_error_prints_its_terms_in_canonical_text(tmp_path, capsys, command, message, grid):
+    """A level or interval error names its terms as the printer prints them
+    (w*2, not the debug spelling w^(1)*2), in the context and on a grid."""
+    script = _script(tmp_path, "grid g eps(2) eps(0) eps(1)\n" + " ".join([command, *grid]) + "\n")
+    code, out, err = run(capsys, "--script", script)
+    assert code == 1 and out == "grid g: 129 points, 2 rounds\n"
+    assert err == f"error: {message}\n"
 
 
 def _outcome(session, command):
@@ -703,14 +723,14 @@ _UNPARSEABLE = ["eps(", "w+", ")", "1.5", "eps(0)**2", "w^", "A@", "eps(-1)"]
 _ARG_KINDS = ("canonical", "0+", "other grid", "non-point", "unparseable")
 
 
-def _point_word(session, own, kind, k):
+def _point_word(session, own, kind, k, grids=_QUERY_GRIDS):
     """The k-th word (mod the pool's size) of a kind of point argument to a
-    query on grid own."""
+    query on grid own, the other grids being those of grids."""
     texts = session.grids[own].grid.rendered
     pool = {
         "canonical": texts,
         "0+": ["0+" + text for text in texts],
-        "other grid": [t for g in _QUERY_GRIDS if g != own for t in session.grids[g].grid.rendered],
+        "other grid": [t for g in grids if g != own for t in session.grids[g].grid.rendered],
         "non-point": _NON_POINTS,
         "unparseable": _UNPARSEABLE,
     }[kind]
@@ -735,6 +755,87 @@ def test_grid_queries_answer_as_the_reference_does(query_session, verb, name, ar
     got = _outcome(query_session, command)
     try:
         want = cli_reference.run_grid_query(query_session, command)
+    except OrdinalError as exc:
+        want = type(exc), str(exc)
+    assert got == want, command
+
+
+@pytest.fixture(scope="module")
+def interval_session(anchor_rel):
+    """The grids of query_session, and gc: the eps(2) anchor grid with a
+    prefix-transitive relation the fixpoint does not produce, on which a
+    span's top frontier is no longer its last rank, so eta and ell differ."""
+    session = Session()
+    for command in (
+        "declare A 2",
+        "grid g1 eps(1) eps(0)",
+        "grid gn eps(1) eps(0)+1",
+        "grid gc eps(2) eps(0) eps(1)",
+    ):
+        run_command(session, command)
+    session.grids["g3"] = anchor_rel
+    session.grids["gc"] = _chained_relation(session.grids["gc"].grid, 6)
+    return session
+
+
+_INTERVAL_GRIDS = ("g1", "g3", "gn", "gc")
+_ALPHA_KINDS = ("epsilon", "non-epsilon", "0+", "other grid", "eps(5)", "A@2", "unparseable")
+
+
+def _alpha_word(session, own, kind, k):
+    """The k-th word (mod the pool's size) of a kind of ALPHA argument to
+    an eta or ell on grid own; gn holds no epsilon, so its epsilon pool is
+    eps(0), which is no point of it."""
+
+    def epsilons(name):
+        grid = session.grids[name].grid
+        return [grid.rendered[i] for i in grid.epsilons]
+
+    grid = session.grids[own].grid
+    own_epsilons = epsilons(own) or ["eps(0)"]
+    pool = {
+        "epsilon": own_epsilons,
+        "non-epsilon": [t for i, t in enumerate(grid.rendered) if i not in grid.epsilons],
+        "0+": ["0+" + text for text in own_epsilons],
+        "other grid": [t for g in _INTERVAL_GRIDS if g != own for t in epsilons(g)],
+        "eps(5)": ["eps(5)"],
+        "A@2": ["A@2"],
+        "unparseable": _UNPARSEABLE,
+    }[kind]
+    return pool[k % len(pool)]
+
+
+# The draws lean to what the rank path reads (K = 1, an epsilon ALPHA, a
+# canonical T, and gc, where eta and ell differ): of the 800, 111 reach
+# skeleton.grid_top_at and 39 are answered from ranks, 19 of them on gc at
+# a rank whose frontier is another point.  Every kind is still drawn.
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["eta", "ell"]),
+    st.sampled_from([1, 1, 1, 0, 2, 3]),
+    st.tuples(st.sampled_from(_ALPHA_KINDS + ("epsilon",) * 3), st.integers(0, 10**4)),
+    st.tuples(st.sampled_from(_ARG_KINDS + ("canonical",) * 3), st.integers(0, 10**4)),
+    st.sampled_from([*_INTERVAL_GRIDS, "gc", "gc", "zz", None]),  # zz is no grid, None no GRID
+)
+def test_grid_eta_ell_answer_as_the_reference_does(interval_session, verb, k, alpha, t, name):
+    """eta and ell read ALPHA and T to their ranks in GRID's own grid and
+    fall back to reading them as a leaf and a term for any other spelling;
+    every answer, error type and message is the one the term path
+    (tests/cli_reference.py) gives, with or without a grid, whatever the
+    level, the mix of epsilon and other points, 0+ spellings, other grids'
+    points, non-points and unparseable texts, and on relations whose spans
+    top out below their last rank (gc)."""
+    own = name if name in _INTERVAL_GRIDS else "g1"
+    words = [
+        verb,
+        str(k),
+        _alpha_word(interval_session, own, *alpha),
+        _point_word(interval_session, own, *t, grids=_INTERVAL_GRIDS),
+    ]
+    command = " ".join(words + [name] * (name is not None))
+    got = _outcome(interval_session, command)
+    try:
+        want = cli_reference.run_grid_query(interval_session, command)
     except OrdinalError as exc:
         want = type(exc), str(exc)
     assert got == want, command
@@ -805,15 +906,17 @@ def test_two_grids_keep_their_own_windows(monkeypatch):
                 except OrdinalError as exc:
                     want = type(exc), str(exc)
                 assert _outcome(session, f"{verb} 1 eps(0) {t} {name}") == want
-    assert g.windows[(e0, 1)] != h.windows[(e0, 1)]
-    first = g.windows[(e0, 1)][1][4]
+    # g holds eps(0), so its window is keyed by eps(0)'s rank; h does not
+    g_key = (g.grid.index(tm.Leaf(e0)), 1)
+    assert g.windows[g_key] != h.windows[(e0, 1)]
+    first = g.windows[g_key][1][4]
     calls = []
     compare = tm.compare
     monkeypatch.setattr(tm, "compare", lambda a, b: calls.append((a, b)) or compare(a, b))
     for t in g.grid.rendered:
         for verb in ("eta", "ell"):
             _outcome(session, f"{verb} 1 eps(0) {t} g")
-    assert calls == [] and g.windows[(e0, 1)][1][4] is first
+    assert calls == [] and g.windows[g_key][1][4] is first
 
 
 @pytest.mark.parametrize(
@@ -847,9 +950,9 @@ _TERM = st.lists(_MONOMIAL, min_size=1, max_size=2).map("+".join)
 _INT = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
 _KINDS = {
     **dict.fromkeys(["LEVEL", "N", "K", "J", "I"], _INT),
-    **dict.fromkeys(["ALPHA", "E", "C"], st.sampled_from(_ATOMS) | _POINT),
-    **dict.fromkeys(["EXPR", "T", "A", "B", "L", "BOUND", "SEED"], _TERM | _POINT),
-    "GRID": st.sampled_from(["g", "g", "h", "zz"]),  # only g exists
+    **dict.fromkeys(["ALPHA", "E", "C", "BASE"], st.sampled_from(_ATOMS) | _POINT),
+    **dict.fromkeys(["EXPR", "T", "A", "B", "L", "BOUND", "SEED", "TOP"], _TERM | _POINT),
+    **dict.fromkeys(["GRID", "GRIDNAME"], st.sampled_from(["g", "g", "h", "zz"])),  # only g exists
     "NAME": st.sampled_from(["A", "C", "g"]),
 }
 

@@ -169,3 +169,17 @@ def test_perfbench_tracer_records_the_named_layers(tmp_path):
     ):
         assert spans.get(name, {}).get("calls", 0) > 0, name
     assert cli._VERBS["export"] is cli._cmd_export  # uninstalled
+
+
+def test_every_mutant_names_old_text_found_once_in_src():
+    """scripts/mutants.py patches src/ by exact text: each mutant's old text
+    occurs exactly once in src/, in its own file, and the test files it
+    names exist, so a refactor that moves the text updates the table."""
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 8
+    for mutant in mutants.MUTANTS:
+        assert mutants.occurrences(mutant, ROOT / "src") == (1, 1), mutant.name
+        assert mutant.old != mutant.new, mutant.name
+        assert all((ROOT / test).is_file() for test in mutant.tests), mutant.name
